@@ -43,14 +43,6 @@ SLOT_V = "V"
 SLOT_W = "W"
 
 
-def is_consonant(ch):
-    return ch in CONSONANTS
-
-
-def is_vowel(ch):
-    return ch in VOWELS
-
-
 def well_formed(s):
     """Check the internal-string invariants; return None or a reason."""
     for i, ch in enumerate(s):

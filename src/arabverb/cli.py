@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 domain error (unknown lemma, bad lexicon...),
-2 usage error.  Results go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 domain error (unknown lemma, bad lexicon,
+unreadable file...), 2 usage error.  Results go to stdout, diagnostics
+to stderr.
 """
 
 import argparse
@@ -10,7 +11,7 @@ from importlib import resources
 
 from . import analyzer, evaluate, pipeline, rules
 from .errors import ArabverbError
-from .lexicon import load_codebook, load_lexicon
+from .lexicon import load_lexicon
 from .translit import to_script
 
 
@@ -33,8 +34,6 @@ def _build_index(path):
 
 def cmd_generate(args):
     ruleset = rules.load_rules(args.rules) if args.rules else None
-    if args.codebook:
-        load_codebook(args.codebook)  # validated; digit ops are fixed data
     entries = _load_entries(args.lexicon, strict=args.strict)
     forms, stats = pipeline.generate_all(entries, ruleset=ruleset, workers=args.workers)
     for failure in stats.failures:
@@ -103,7 +102,6 @@ def build_parser():
     p = sub.add_parser("generate", help="expand a lemma lexicon into inflected forms")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--rules")
-    p.add_argument("--codebook")
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
     p.add_argument("--strict", action="store_true")
@@ -145,7 +143,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ArabverbError as exc:
+    except (ArabverbError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

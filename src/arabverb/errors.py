@@ -2,7 +2,8 @@
 
 
 class ArabverbError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.  A subclass with its own
+    __init__ defines __reduce__, so that it pickles."""
 
 
 class UnknownCharacter(ArabverbError):
@@ -10,6 +11,9 @@ class UnknownCharacter(ArabverbError):
         self.char = char
         self.position = position
         super().__init__("unknown character %r at position %d" % (char, position))
+
+    def __reduce__(self):
+        return type(self), (self.char, self.position)
 
 
 class MalformedInternal(ArabverbError):
@@ -42,6 +46,9 @@ class StringTooLong(ArabverbError):
         self.slots = slots
         super().__init__("merged string of %d exceeds %d template slots" % (length, slots))
 
+    def __reduce__(self):
+        return type(self), (self.length, self.slots)
+
 
 class IllegalCell(ArabverbError):
     pass
@@ -65,3 +72,6 @@ class EntryFailed(ArabverbError):
         self.stage = stage
         self.cause = cause
         super().__init__("entry %s failed at %s: %s" % (entry, stage, cause))
+
+    def __reduce__(self):
+        return type(self), (self.entry, self.stage, self.cause)

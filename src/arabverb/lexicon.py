@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .alphabet import CONSONANTS
-from .errors import BadCode, BadLexicon, NoEntries, UnknownClass
+from .errors import ArabverbError, BadCode, BadLexicon, NoEntries, UnknownClass
 from .translit import to_internal
 
 # The closed derivational inventory: 7 consonant insertions,
@@ -139,13 +139,9 @@ def format_code(code):
     return str(code)
 
 
-def load_codebook(path=None):
-    """Digit -> op-sequence map from the codebook file."""
-    if path is None:
-        text = resources.files("arabverb.data").joinpath("codebook.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+def load_codebook():
+    """Digit -> op-sequence map from the bundled codebook file."""
+    text = resources.files("arabverb.data").joinpath("codebook.tsv").read_text("utf-8")
     table = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
@@ -192,18 +188,16 @@ def _parse_ops(names, params, lineno):
 _CODEBOOK = load_codebook()
 
 
-def resolve_class(code, codebook=None):
+def resolve_class(code):
     """Resolve a parsed code against the codebook into a DerivClass."""
-    table = codebook if codebook is not None else _CODEBOOK
-    key = (code.d1, code.d2, code.d4, code.template)
-    label = _LABELS.get(key[:3] + (code.template,))
+    label = _LABELS.get((code.d1, code.d2, code.d4, code.template))
     if label is None:
         raise UnknownClass("no codebook row for digits %s%s_%s with template %s"
                            % (code.d1, code.d2, code.d4, code.template))
     ops = []
     ta = False
     for pos, digit in (("1", code.d1), ("2", code.d2), ("4", code.d4)):
-        for op in table.get((pos, digit), ()):
+        for op in _CODEBOOK.get((pos, digit), ()):
             if op == ("ta",):
                 ta = True
             else:
@@ -275,7 +269,7 @@ def load_lexicon(path, strict=False):
                 root = parse_root(fields[1])
                 code = parse_code(fields[2].strip())
                 resolve_class(code)
-            except Exception as exc:
+            except ArabverbError as exc:
                 report.diagnostics.append((lineno, str(exc)))
                 continue
             gloss = fields[3].strip() if len(fields) > 3 else ""
@@ -292,7 +286,11 @@ def load_lexicon(path, strict=False):
 
         kept = []
         for entry in report.entries:
-            regenerated = regenerate_lemma(entry)
+            try:
+                regenerated = regenerate_lemma(entry)
+            except ArabverbError as exc:
+                report.diagnostics.append((entry.line, str(exc)))
+                continue
             if regenerated != entry.lemma:
                 report.diagnostics.append(
                     (entry.line, "lemma %s does not regenerate (got %s)" % (entry.lemma, regenerated))

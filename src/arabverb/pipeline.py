@@ -2,15 +2,16 @@
 stem/inflection/cascade flow, with stats and a persisted TSV lexicon.
 """
 
+import functools
 import multiprocessing
 from dataclasses import dataclass, field
 
 from . import rules
 from .errors import ArabverbError, EntryFailed
 from .inflect import CELLS, CELL_ORDER, Cell, inflect
-from .lexicon import LexiconEntry, parse_code, resolve_class
+from .lexicon import resolve_class
 from .stems import build_stems
-from .translit import to_internal, to_script
+from .translit import to_script
 
 FORMS_PER_LEMMA = len(CELLS)  # 109
 
@@ -77,37 +78,39 @@ def regenerate_lemma(entry):
     return rules.default_rules().apply(inflect(stems, Cell("3SM", "PERF", "ACT")))
 
 
-def _worker(args):
-    root, code, lemma = args
-    entry = LexiconEntry(lemma=lemma, root=root, code=parse_code(code))
+def _expand_entry(entry, ruleset):
+    """One entry's (forms, rule hits), or its EntryFailed, as data.
+
+    Module-level so that a process pool can send it to its workers.
+    """
     hits = {}
-    forms = generate_entry(entry, None, hits)
-    return forms, hits
+    try:
+        return generate_entry(entry, ruleset, hits), hits
+    except EntryFailed as exc:
+        return exc
 
 
 def generate_all(entries, ruleset=None, workers=1):
     """Expand a lexicon; per-entry failures are collected, not fatal.
 
     Returns (forms, stats).  With workers > 1 the entries are expanded
-    in a process pool and merged back in input order, so the output is
-    identical to a serial run.
+    by the same function in a process pool; results are merged in input
+    order either way, so the output is identical to a serial run.
     """
+    entries = list(entries)
+    expand = functools.partial(_expand_entry, ruleset=ruleset)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            results = pool.map(expand, entries)
+    else:
+        results = map(expand, entries)
     stats = GenStats()
     forms = []
-    if workers > 1 and ruleset is None:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_worker, [(e.root, str(e.code), e.lemma) for e in entries])
-        for entry, (entry_forms, hits) in zip(entries, results):
-            forms.extend(entry_forms)
-            _count(stats, entry, hits)
-        return forms, stats
-    for entry in entries:
-        hits = {}
-        try:
-            entry_forms = generate_entry(entry, ruleset, hits)
-        except EntryFailed as exc:
-            stats.failures.append(exc)
+    for entry, result in zip(entries, results):
+        if isinstance(result, EntryFailed):
+            stats.failures.append(result)
             continue
+        entry_forms, hits = result
         forms.extend(entry_forms)
         _count(stats, entry, hits)
     return forms, stats

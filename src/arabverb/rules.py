@@ -20,12 +20,13 @@ plus the same class letters where a finer set is needed.  Replacements
 are literals and capture references.
 """
 
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .alphabet import CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
-from .errors import BadRuleFile, StageOrderError
+from .errors import ArabverbError, BadRuleFile, StageOrderError
 
 _BASIC = CONSONANTS - SEMICONSONANTS - HAMZA_LETTERS
 
@@ -209,23 +210,16 @@ def load_rules(path=None):
             raise BadRuleFile("rule file line %d: empty pattern" % lineno)
         try:
             rules.append(make_rule(rule_id, stage, pattern, replacement, left, right, comment))
-        except StageOrderError:
-            raise
-        except BadRuleFile:
+        except ArabverbError:
             raise
         except Exception as exc:
             raise BadRuleFile("rule file line %d: %s" % (lineno, exc))
     return RuleSet(rules)
 
 
-_DEFAULT = None
-
-
+@functools.cache
 def default_rules():
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_rules()
-    return _DEFAULT
+    return load_rules()
 
 
 def apply_cascade(form, ruleset=None, hits=None):

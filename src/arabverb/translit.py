@@ -14,13 +14,9 @@ from .alphabet import SHADDA, VOWELS, well_formed
 from .errors import MalformedInternal, UnknownCharacter
 
 
-def load_codec_table(path=None):
-    """Load the codec table; returns (arabic->internal, internal->arabic)."""
-    if path is None:
-        text = resources.files("arabverb.data").joinpath("codec_table.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+def load_codec_table():
+    """Load the bundled codec table; returns (arabic->internal, internal->arabic)."""
+    text = resources.files("arabverb.data").joinpath("codec_table.tsv").read_text("utf-8")
     a2i, i2a = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.rstrip("\n")

@@ -1,7 +1,15 @@
+import os
+
 import pytest
 
 from arabverb.cli import main
-from conftest import GOLD_LEXICON, SAMPLE_LEXICON
+from conftest import DATA, GOLD_LEXICON, SAMPLE_LEXICON
+
+# A good entry, then QI (a 4-radical pattern) on a 3-radical root.
+QI_ON_THREE_RADICALS = (
+    "كَتَبَ\tktb\t00L0003\tgood\n"
+    "كَتَبَ\tktb\t00H0000\tQI on three radicals\n"
+)
 
 
 def test_generate_and_stats(tmp_path, capsys):
@@ -13,6 +21,45 @@ def test_generate_and_stats(tmp_path, capsys):
     assert "24 lemmas -> 2616 forms" in capsys.readouterr().out
     assert out.read_text(encoding="utf-8").count("\n") == 2617
     assert "forms\t2616" in stats.read_text(encoding="utf-8")
+
+
+# --strict drops the entry at load time; a plain run drops it at expansion.
+@pytest.mark.parametrize("extra, reported", [(["--strict"], "lex.tsv:2: "),
+                                             (["--workers", "2"], "failed at OpOutOfRange")])
+def test_generate_reports_entry_that_cannot_generate(tmp_path, capsys, extra, reported):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text(QI_ON_THREE_RADICALS, encoding="utf-8")
+    out = tmp_path / "inflected.tsv"
+    rc = main(["generate", "--lexicon", lexicon.as_posix(), "--out", out.as_posix()] + extra)
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "1 lemmas -> 109 forms" in captured.out
+    assert reported in captured.err
+
+
+@pytest.mark.parametrize("missing", ["--lexicon", "--rules"])
+def test_missing_input_file_is_domain_error(tmp_path, capsys, missing):
+    paths = {"--lexicon": SAMPLE_LEXICON, "--rules": os.path.join(DATA, "surface_rules.tsv")}
+    paths[missing] = (tmp_path / "missing.tsv").as_posix()
+    rc = main(["generate", "--lexicon", paths["--lexicon"], "--rules", paths["--rules"],
+               "--out", (tmp_path / "out.tsv").as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.tsv" in err
+
+
+def test_generate_rules_with_workers(tmp_path):
+    with open(os.path.join(DATA, "surface_rules.tsv"), encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("o05\t")]
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("".join(lines), encoding="utf-8")
+    outputs = {}
+    for name, extra in (("default", []), ("serial", ["--rules", rules.as_posix()]),
+                        ("parallel", ["--rules", rules.as_posix(), "--workers", "2"])):
+        out = tmp_path / (name + ".tsv")
+        assert main(["generate", "--lexicon", SAMPLE_LEXICON, "--out", out.as_posix()] + extra) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["parallel"] == outputs["serial"] != outputs["default"]
 
 
 def test_inflect_lemma(capsys):

@@ -176,6 +176,19 @@ def test_strict_mode_rejects_wrong_lemma(tmp_path):
     assert len(report.diagnostics) == 1
 
 
+def test_strict_mode_diagnoses_entry_that_cannot_generate(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text(
+        "كَتَبَ\tktb\t00L0003\tgood\n"
+        "كَتَبَ\tktb\t00H0000\tQI on three radicals\n",
+        encoding="utf-8",
+    )
+    report = load_lexicon(str(path), strict=True)
+    assert len(report.entries) == 1
+    assert [line for line, _message in report.diagnostics] == [2]
+    assert "4-radical root" in report.diagnostics[0][1]
+
+
 def test_gold_lexicon_strict(gold_entries):
     from conftest import GOLD_LEXICON
 

@@ -1,6 +1,9 @@
+import inspect
+import pickle
+
 import pytest
 
-from arabverb import pipeline
+from arabverb import errors, pipeline, rules
 from arabverb.errors import ArabverbError
 from arabverb.lexicon import LexiconEntry, parse_code, resolve_class
 
@@ -35,6 +38,59 @@ def test_failure_isolation():
     assert len(forms) == 218
     assert len(stats.failures) == 1
     assert stats.failures[0].stage == "OpOutOfRange"
+
+
+# One instance of every ArabverbError subclass whose __init__ is not the
+# message-only one inherited from Exception.
+CUSTOM_INIT_ERRORS = [
+    errors.UnknownCharacter("\u2663", 2),
+    errors.StringTooLong(9, 7),
+    errors.EntryFailed("ktb", "OpOutOfRange", errors.OpOutOfRange("pattern QI needs a 4-radical root")),
+]
+
+
+def test_custom_init_errors_listed():
+    custom = {cls for _name, cls in inspect.getmembers(errors, inspect.isclass)
+              if issubclass(cls, ArabverbError) and "__init__" in vars(cls)}
+    assert custom == {type(e) for e in CUSTOM_INIT_ERRORS}
+
+
+@pytest.mark.parametrize("exc", CUSTOM_INIT_ERRORS, ids=lambda e: type(e).__name__)
+def test_errors_survive_pickle(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back).keys() == vars(exc).keys()
+    for name, value in vars(exc).items():
+        if isinstance(value, BaseException):
+            assert (type(vars(back)[name]), str(vars(back)[name])) == (type(value), str(value))
+        else:
+            assert vars(back)[name] == value
+
+
+def test_parallel_failure_isolation():
+    good = LexiconEntry(lemma="", root="ktb", code=parse_code("00L0003"))
+    bad = LexiconEntry(lemma="", root="ktb", code=parse_code("00H0000"))
+    serial = pipeline.generate_all([good, bad, good])
+    forms, stats = pipeline.generate_all([good, bad, good], workers=2)
+    assert len(forms) == 218
+    assert forms == serial[0]
+    assert [(f.entry, f.stage, str(f)) for f in stats.failures] == \
+        [(f.entry, f.stage, str(f)) for f in serial[1].failures]
+    assert stats.failures[0].stage == "OpOutOfRange"
+
+
+# RuleSet defines __len__, so the empty one is falsy and must still be used.
+@pytest.mark.parametrize("keep", [lambda rule: rule.id != "o05", lambda rule: False],
+                         ids=["without-o05", "empty"])
+def test_parallel_uses_callers_ruleset(sample_entries, sample_forms, keep):
+    ruleset = rules.RuleSet([r for r in rules.default_rules().rules if keep(r)])
+    serial, serial_stats = pipeline.generate_all(sample_entries, ruleset=ruleset)
+    parallel, parallel_stats = pipeline.generate_all(sample_entries, ruleset=ruleset, workers=2)
+    assert serial != sample_forms
+    assert parallel == serial
+    assert parallel_stats.rule_hits == serial_stats.rule_hits
+    assert [str(f) for f in parallel_stats.failures] == [str(f) for f in serial_stats.failures]
 
 
 def test_write_read_round_trip(tmp_path, sample_forms):
