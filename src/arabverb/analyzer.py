@@ -51,16 +51,18 @@ class Analysis:
 
 
 class FormIndex:
-    """Exact-surface and diacritic-stripped lookup over inflected forms."""
+    """Diacritic-stripped, lemma and root lookup over inflected forms."""
 
     def __init__(self, forms):
-        self.exact = {}
         self.by_skeleton = {}
         self.by_lemma = {}
         self.by_root = {}
         seen = set()
+        labels = {}  # a label depends only on the code
         for f in forms:
-            label = resolve_class(parse_code(f.code)).label
+            label = labels.get(f.code)
+            if label is None:
+                label = labels[f.code] = resolve_class(parse_code(f.code)).label
             analysis = Analysis(
                 lemma=f.lemma, root=f.root, code=f.code, label=label,
                 surface=f.surface, tag=f.cell.tag,
@@ -69,7 +71,6 @@ class FormIndex:
             if analysis in seen:
                 continue  # identical duplicate rows collapse
             seen.add(analysis)
-            self.exact.setdefault(f.surface, []).append(analysis)
             self.by_skeleton.setdefault(skeleton(f.surface), []).append(analysis)
             self.by_lemma.setdefault(f.lemma, {}).setdefault(f.code, []).append(
                 (CELL_ORDER[f.cell], f.cell, f.surface)

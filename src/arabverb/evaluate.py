@@ -8,23 +8,13 @@ is already canonical).
 
 from dataclasses import dataclass
 
+from .errors import BadLexicon
+
 # Normalized comparison schema, one form per row:
 #   lemma (internal) <TAB> tag <TAB> paradigm <TAB> voice <TAB> surface (internal)
 # Reference lexicons converted from other analyzers must be mapped to
 # these five columns; multiple rows may share a key when the reference
 # offers variant surfaces.
-NORMALIZED_COLUMNS = ("lemma", "tag", "paradigm", "voice", "surface")
-
-
-def convert_reference(rows):
-    """Converter stub for foreign reference lexicons.
-
-    Tag-set mapping from other analyzers is out of scope here; supply
-    rows already shaped as NORMALIZED_COLUMNS.
-    """
-    raise NotImplementedError(
-        "normalize the reference externally to the %s schema" % (NORMALIZED_COLUMNS,)
-    )
 
 
 @dataclass
@@ -43,12 +33,6 @@ class EvalReport:
         evaluable = self.correct + self.incorrect
         return self.correct / evaluable if evaluable else 0.0
 
-    def check(self):
-        assert self.correct >= 0 and self.incorrect >= 0 and self.no_data >= 0
-        assert self.correct + self.incorrect + self.no_data == self.total
-        assert 0.0 <= self.precision <= 1.0
-        return self
-
 
 def load_normalized(path):
     rows = []
@@ -59,7 +43,8 @@ def load_normalized(path):
                 continue
             fields = line.split("\t")
             if len(fields) != 5:
-                raise ValueError("%s line %d: expected 5 columns" % (path, lineno))
+                raise BadLexicon("%s line %d: expected 5 columns, got %d"
+                                 % (path, lineno, len(fields)))
             rows.append(tuple(fields))
     return rows
 
@@ -114,7 +99,6 @@ def evaluate(reference_rows, generated_rows, exclusions=None):
             continue
         if verdict != "correct":
             diff.append(key + (surface, "", verdict))
-    report.check()
     return report, diff
 
 

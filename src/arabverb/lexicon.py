@@ -68,12 +68,6 @@ _LABELS = {
 _ISTEM_V_U = frozenset(["II", "III", "IV", "QI"])
 _ISTEM_W_A = frozenset(["V", "VI", "QII"])
 
-# Classes whose lemma begins with a repaired consonant cluster and so
-# carries a prosthetic alif.
-_PROSTHETIC = frozenset(
-    ["VII", "VIII", "IX", "X", "XI", "XII", "XIII", "XIV", "XV", "QIII", "QIV"]
-)
-
 QUADRILITERAL = frozenset(["QI", "QII", "QIII", "QIV"])
 
 
@@ -99,7 +93,6 @@ class DerivClass:
     ta_prefix: bool
     p_vowels: tuple  # (V, W) of the active perfective stem
     i_vowels: tuple  # (V, W) of the active imperfective stem
-    prosthetic: bool
 
 
 @dataclass(frozen=True)
@@ -133,10 +126,6 @@ def parse_code(text):
         if v not in "0123":
             raise BadCode("vowel digit of %r out of range" % text)
     return MorphCode(d1, d2, tpl, d4, v5, v6, v7)
-
-
-def format_code(code):
-    return str(code)
 
 
 def load_codebook():
@@ -226,7 +215,6 @@ def resolve_class(code):
         ta_prefix=ta,
         p_vowels=("a", p_w),
         i_vowels=(i_v, i_w),
-        prosthetic=label in _PROSTHETIC,
     )
 
 

@@ -56,6 +56,7 @@ def generate_entry(entry, ruleset=None, hits=None):
     rs = ruleset if ruleset is not None else rules.default_rules()
     try:
         stems = build_stems(entry)
+        code = str(entry.code)
         out = []
         for cell in CELLS:
             surface = rs.apply(inflect(stems, cell), hits)
@@ -64,7 +65,7 @@ def generate_entry(entry, ruleset=None, hits=None):
                 surface_arabic=to_script(surface),
                 lemma=entry.lemma,
                 root=entry.root,
-                code=str(entry.code),
+                code=code,
                 cell=cell,
             ))
         return out

@@ -77,7 +77,9 @@ _UBIQUITOUS = frozenset("aiu·~")
 _CLASS_TRIGGERS = {"G": frozenset("wy"), "Q": HAMZA_LETTERS}
 
 
-def _compile(rule_id, stage, pattern, replacement, left, right, comment):
+def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment=""):
+    if stage not in STAGES:
+        raise BadRuleFile("rule %s: unknown stage %r" % (rule_id, stage))
     core = []
     literals = set()
     narrow = set()
@@ -110,12 +112,6 @@ def _compile(rule_id, stage, pattern, replacement, left, right, comment):
     )
 
 
-def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment=""):
-    if stage not in STAGES:
-        raise BadRuleFile("rule %s: unknown stage %r" % (rule_id, stage))
-    return _compile(rule_id, stage, pattern, replacement, left, right, comment)
-
-
 def _substitute(rule, match):
     out = []
     for ch in rule.replacement:
@@ -124,13 +120,6 @@ def _substitute(rule, match):
         else:
             out.append(ch)
     return "".join(out)
-
-
-def apply_rule(rule, form, hits=None):
-    """Apply one rule once: all non-overlapping matches, left to right."""
-    if rule._trigger and not rule._trigger.intersection(form):
-        return form
-    return _scan(rule, form, hits)
 
 
 def _scan(rule, form, hits):
@@ -188,6 +177,11 @@ class RuleSet:
                 form = out
                 symbols = None
         return form
+
+
+def apply_rule(rule, form, hits=None):
+    """Apply one rule once: all non-overlapping matches, left to right."""
+    return RuleSet((rule,)).apply(form, hits)
 
 
 def load_rules(path=None):

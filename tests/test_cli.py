@@ -113,6 +113,20 @@ def test_evaluate_round_trip(tmp_path, capsys):
     assert "precision=100.00%" in capsys.readouterr().out
 
 
+def test_evaluate_rejects_inflected_lexicon(tmp_path, capsys):
+    out = tmp_path / "inflected.tsv"
+    assert main(["generate", "--lexicon", SAMPLE_LEXICON, "--out", out.as_posix()]) == 0
+    capsys.readouterr()
+    reference = tmp_path / "reference.tsv"
+    reference.write_text("façala\t3SM\tPERF\tACT\tfaçala\n", encoding="utf-8")
+    rc = main(["evaluate", "--reference", reference.as_posix(), "--generated", out.as_posix(),
+               "--report", (tmp_path / "report.tsv").as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "inflected.tsv line 2: expected 5 columns" in err
+    assert "Traceback" not in err
+
+
 def test_stats_command(capsys):
     rc = main(["stats", "--lexicon", SAMPLE_LEXICON])
     assert rc == 0

@@ -1,8 +1,8 @@
 import pytest
 
+from arabverb.errors import BadLexicon
 from arabverb.evaluate import (
     EvalReport,
-    convert_reference,
     evaluate,
     evaluate_files,
     forms_to_normalized,
@@ -62,7 +62,6 @@ def test_multiple_reference_surfaces_per_key():
 
 def test_report_arithmetic_always_balances():
     report = EvalReport(correct=7, incorrect=1, no_data=2, excluded=3)
-    report.check()
     assert report.total == 10
     assert report.precision == 7 / 8
 
@@ -94,11 +93,5 @@ def test_evaluate_files_report_and_diff(tmp_path, sample_forms):
 def test_load_normalized_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("a\tb\tc\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadLexicon):
         load_normalized(path.as_posix())
-
-
-def test_converter_stub_documents_columns():
-    with pytest.raises(NotImplementedError) as err:
-        convert_reference([])
-    assert "lemma" in str(err.value)
