@@ -19,6 +19,13 @@ def _default_lexicon():
     return str(resources.files("arabverb.data").joinpath("sample_lexicon.tsv"))
 
 
+def _positive_int(text):
+    """argparse type of --max and --workers: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
+    return int(text)
+
+
 def _load_entries(path, strict=False):
     report = load_lexicon(path, strict=strict)
     for lineno, message in report.diagnostics:
@@ -69,9 +76,7 @@ def cmd_derive(args):
 def cmd_analyze(args):
     index = _build_index(args.lexicon)
     hits = analyzer.analyze(index, args.form)
-    if args.max:
-        hits = hits[: args.max]
-    for a in hits:
+    for a in hits[: args.max]:
         print("%s\t%s\t%s\t%s\t%s\t%s\t%s" % (
             a.surface, a.lemma, a.root, a.label, a.tag, a.paradigm, a.voice))
     return 0
@@ -105,7 +110,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("inflect", help="print the 109-form paradigm of a lemma")
@@ -121,7 +126,7 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="analyses of a (partially) diacritized form")
     p.add_argument("--form", required=True)
-    p.add_argument("--max", type=int)
+    p.add_argument("--max", type=_positive_int)
     p.add_argument("--lexicon", default=_default_lexicon())
     p.set_defaults(func=cmd_analyze)
 

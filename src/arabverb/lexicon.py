@@ -8,35 +8,35 @@ accepted and right-padded with a default vowel digit.
 """
 
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .alphabet import CONSONANTS
 from .errors import ArabverbError, BadCode, BadLexicon, NoEntries, UnknownClass
 from .translit import to_internal
 
-# The closed derivational inventory: 7 consonant insertions,
-# 3 vowel lengthenings, 2 duplications.
-CONSONANT_INSERTIONS = (
-    ("prefix", "Á"),
-    ("prefix", "n"),
-    ("prefix", "st"),
-    ("infix", "t", 1),
-    ("infix", "n", 2),
-    ("infix", "w", 2),
-    ("infix", "ww", 2),
-)
-LENGTHENINGS = (
-    ("lengthen", "A", 1),
-    ("lengthen", "A", 2),
-    ("append", "y"),  # surfaces as word-final -aY / pre-suffix -ay-
-)
-DUPLICATIONS = (
-    ("dup", 2),
-    ("dup", "final"),
-)
-OP_INVENTORY = frozenset(CONSONANT_INSERTIONS + LENGTHENINGS + DUPLICATIONS)
-
 _VOWEL_DIGIT = {"0": None, "1": "a", "2": "i", "3": "u"}
+
+# (code position, digit) -> the ops that digit selects (none for 0).
+# Positions 1, 2, 4 read in turn give every class its ops in application
+# order: prefixes, infixes and lengthenings, append, duplications (whose
+# indices are root positions).  ("ta",) marks the ta- of V, VI and QII;
+# the other ops are the paper's 7 insertions, 3 lengthenings, 2 duplications.
+CODEBOOK = {
+    ("1", "1"): (("prefix", "Á"),),
+    ("1", "2"): (("prefix", "n"),),
+    ("1", "3"): (("prefix", "st"),),
+    ("2", "1"): (("infix", "t", 1),),
+    ("2", "2"): (("infix", "n", 2),),
+    ("2", "3"): (("infix", "w", 2),),
+    ("2", "4"): (("prefix", "st"),),
+    ("2", "5"): (("infix", "ww", 2),),
+    ("2", "6"): (("lengthen", "A", 1),),
+    ("2", "7"): (("lengthen", "A", 2),),
+    ("2", "8"): (("infix", "n", 2), ("append", "y")),  # -y surfaces as -aY / -ay-
+    ("4", "1"): (("dup", 2),),
+    ("4", "2"): (("dup", "final"),),
+    ("4", "3"): (("ta",),),
+    ("4", "4"): (("dup", 2), ("ta",)),
+}
 
 # (d1, d2, d4, template) -> traditional pattern label.  Pattern I labels
 # get their thematic vowels appended after resolution (Iau, Iii, ...).
@@ -128,55 +128,6 @@ def parse_code(text):
     return MorphCode(d1, d2, tpl, d4, v5, v6, v7)
 
 
-def load_codebook():
-    """Digit -> op-sequence map from the bundled codebook file."""
-    text = resources.files("arabverb.data").joinpath("codebook.tsv").read_text("utf-8")
-    table = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) < 3:
-            raise BadLexicon("codebook line %d: need 3+ columns" % lineno)
-        position, digit, names = fields[0], fields[1], fields[2]
-        params = fields[3] if len(fields) > 3 else ""
-        ops = _parse_ops(names, params, lineno)
-        table[(position, digit)] = ops
-    return table
-
-
-def _parse_ops(names, params, lineno):
-    if names == "none":
-        return ()
-    ops = []
-    plist = params.split(";")
-    for i, name in enumerate(names.split(";")):
-        param = plist[i] if i < len(plist) else ""
-        if name == "prefix":
-            ops.append(("prefix", param))
-        elif name == "infix":
-            seg, pos = param.split("@")
-            ops.append(("infix", seg, int(pos)))
-        elif name == "lengthen":
-            seg, pos = param.split("@")
-            ops.append(("lengthen", seg, int(pos)))
-        elif name == "append":
-            ops.append(("append", param))
-        elif name == "dup":
-            ops.append(("dup", int(param) if param.isdigit() else param))
-        elif name == "ta":
-            ops.append(("ta",))
-        else:
-            raise BadLexicon("codebook line %d: unknown op %r" % (lineno, name))
-    for op in ops:
-        if op != ("ta",) and op not in OP_INVENTORY:
-            raise BadLexicon("codebook line %d: op %r not in inventory" % (lineno, op))
-    return tuple(ops)
-
-
-_CODEBOOK = load_codebook()
-
-
 def resolve_class(code):
     """Resolve a parsed code against the codebook into a DerivClass."""
     label = _LABELS.get((code.d1, code.d2, code.d4, code.template))
@@ -186,15 +137,11 @@ def resolve_class(code):
     ops = []
     ta = False
     for pos, digit in (("1", code.d1), ("2", code.d2), ("4", code.d4)):
-        for op in _CODEBOOK.get((pos, digit), ()):
+        for op in CODEBOOK.get((pos, digit), ()):
             if op == ("ta",):
                 ta = True
             else:
                 ops.append(op)
-    # Ordered application: prefixes, then infixes/lengthenings, then
-    # duplications (duplication indices refer to root positions).
-    rank = {"prefix": 0, "infix": 1, "lengthen": 1, "append": 2, "dup": 3}
-    ops.sort(key=lambda op: rank[op[0]])
 
     p_w = _VOWEL_DIGIT[code.v5] or "a"
     i_v = _VOWEL_DIGIT[code.v6] or ("u" if label in _ISTEM_V_U else "a")
@@ -251,6 +198,9 @@ def load_lexicon(path, strict=False):
             fields = line.split("\t")
             if len(fields) < 3:
                 report.diagnostics.append((lineno, "need at least 3 tab-separated fields"))
+                continue
+            if not fields[0].strip():
+                report.diagnostics.append((lineno, "empty lemma"))
                 continue
             try:
                 lemma = to_internal(fields[0].strip())

@@ -90,6 +90,19 @@ def test_analyze_form(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
 
 
+# A count below 1 is a usage error, not a silently shortened list or a serial run.
+@pytest.mark.parametrize("option, value", [("--max", "0"), ("--max", "-1"), ("--workers", "0")])
+def test_count_below_one_is_usage_error(tmp_path, capsys, option, value):
+    commands = {"--max": ["analyze", "--form", "فعل"],
+                "--workers": ["generate", "--lexicon", SAMPLE_LEXICON,
+                              "--out", (tmp_path / "out.tsv").as_posix()]}
+    with pytest.raises(SystemExit) as err:
+        main(commands[option] + [option, value])
+    assert err.value.code == 2
+    assert "expected an integer >= 1, got %r" % value in capsys.readouterr().err
+    assert not (tmp_path / "out.tsv").exists()
+
+
 def test_analyze_unknown_character(capsys):
     rc = main(["analyze", "--form", "qq♣"])
     assert rc == 1

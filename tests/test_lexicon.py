@@ -1,17 +1,7 @@
 import pytest
 
 from arabverb.errors import BadCode, NoEntries, UnknownClass
-from arabverb.lexicon import (
-    CONSONANT_INSERTIONS,
-    DUPLICATIONS,
-    LENGTHENINGS,
-    OP_INVENTORY,
-    load_codebook,
-    load_lexicon,
-    parse_code,
-    parse_root,
-    resolve_class,
-)
+from arabverb.lexicon import _LABELS, CODEBOOK, load_lexicon, parse_code, parse_root, resolve_class
 
 
 def test_parse_legacy_six_character_code():
@@ -75,25 +65,20 @@ def test_unknown_class():
         resolve_class(parse_code("11H0000"))
 
 
-def test_op_inventory_sizes():
-    assert len(CONSONANT_INSERTIONS) == 7
-    assert len(LENGTHENINGS) == 3
-    assert len(DUPLICATIONS) == 2
-    assert len(OP_INVENTORY) == 12
+def test_codebook_holds_the_closed_inventory():
+    ops = {op for ops in CODEBOOK.values() for op in ops if op != ("ta",)}
+    kinds = [op[0] for op in ops]
+    assert kinds.count("prefix") + kinds.count("infix") == 7  # consonant insertions
+    assert kinds.count("lengthen") + kinds.count("append") == 3  # vowel lengthenings
+    assert kinds.count("dup") == 2  # duplications
+    assert len(ops) == 12
 
 
-def test_codebook_ops_within_inventory():
-    table = load_codebook()
-    for ops in table.values():
-        for op in ops:
-            assert op == ("ta",) or op in OP_INVENTORY
-
-
-def test_every_class_draws_from_inventory(sample_entries):
-    for entry in sample_entries:
-        cls = resolve_class(entry.code)
-        for op in cls.ops:
-            assert op in OP_INVENTORY
+def test_every_class_lists_its_ops_in_application_order():
+    rank = {"prefix": 0, "infix": 1, "lengthen": 1, "append": 2, "dup": 3}
+    for d1, d2, d4, template in _LABELS:
+        ops = resolve_class(parse_code(d1 + d2 + template + d4 + "000")).ops
+        assert list(ops) == sorted(ops, key=lambda op: rank[op[0]]), (d1, d2, d4, template)
 
 
 def test_parse_root():
@@ -140,6 +125,16 @@ def test_duplicate_and_bad_lines_are_diagnosed(tmp_path):
     report = load_lexicon(str(path))
     assert len(report.entries) == 1
     assert len(report.diagnostics) == 3
+
+
+def test_empty_lemma_is_diagnosed(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("كَتَبَ\tktb\t00L0003\twrite\n"
+                    "\tktb\t00L0003\n"
+                    " \tdrs\t00L0003\tstudy\n", encoding="utf-8")
+    report = load_lexicon(str(path))
+    assert [e.lemma for e in report.entries] == ["kataba"]
+    assert report.diagnostics == [(2, "empty lemma"), (3, "empty lemma")]
 
 
 def test_same_lemma_different_codes_allowed(tmp_path):
