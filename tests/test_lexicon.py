@@ -2,6 +2,7 @@ import pytest
 
 from arabverb.errors import BadCode, NoEntries, UnknownClass
 from arabverb.lexicon import _LABELS, CODEBOOK, load_lexicon, parse_code, parse_root, resolve_class
+from arabverb.stems import merge
 
 
 def test_parse_legacy_six_character_code():
@@ -65,13 +66,23 @@ def test_unknown_class():
         resolve_class(parse_code("11H0000"))
 
 
-def test_codebook_holds_the_closed_inventory():
+def test_op_inventory_sizes():
     ops = {op for ops in CODEBOOK.values() for op in ops if op != ("ta",)}
     kinds = [op[0] for op in ops]
     assert kinds.count("prefix") + kinds.count("infix") == 7  # consonant insertions
     assert kinds.count("lengthen") + kinds.count("append") == 3  # vowel lengthenings
     assert kinds.count("dup") == 2  # duplications
     assert len(ops) == 12
+
+
+def test_codebook_ops_within_inventory():
+    for (pos, digit), ops in CODEBOOK.items():
+        for op in ops:
+            if op == ("ta",):
+                assert pos == "4", (pos, digit)
+                continue
+            assert op[0] in ("prefix", "infix", "lengthen", "append", "dup"), op
+            assert merge("ktb", (op,)) != "ktb", op  # merge knows the op and applies it
 
 
 def test_every_class_lists_its_ops_in_application_order():
