@@ -1,22 +1,27 @@
-"""Lexicon-scale generation: every entry expanded through the full
-stem/inflection/cascade flow, with stats and a persisted TSV lexicon.
+"""Lexicon-scale generation through the full stem/inflection/cascade
+flow, once per code and radical signature, with stats and a persisted
+TSV lexicon.
 """
 
+import codecs
 import functools
 import multiprocessing
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import rules
+from .alphabet import ALPHABET, CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
 from .errors import ArabverbError, EntryFailed
-from .inflect import CELLS, CELL_ORDER, Cell, inflect
-from .lexicon import resolve_class
-from .stems import build_stems
-from .translit import to_script
+from .inflect import (CELLS, CELL_ORDER, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX,
+                      PERF_SUFFIX, Cell, inflect)
+from .lexicon import CODEBOOK, resolve_class
+from .stems import VIII_ASSIMILATION, build_stems
+from .translit import SCRIPT, to_script
 
 FORMS_PER_LEMMA = len(CELLS)  # 109
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InflectedForm:
     surface: str
     surface_arabic: str
@@ -91,36 +96,137 @@ def _expand_entry(entry, ruleset):
         return exc
 
 
+# Paradigm cache.  Stems, chart and cascade read most radicals only as
+# members of a class (C, K, M); a few they compare by identity.  Two roots
+# that differ only in the other radicals, equal ones staying equal, have
+# the same paradigm up to renaming those radicals.  So generate_all
+# cascades the first entry of each (code, stand-in root) and gives the
+# other entries of that key its forms with their own radicals.
+
+
+def special_consonants(ruleset):
+    """The consonants that generation under ``ruleset`` treats by identity.
+
+    Those named by a rule, an affix of the chart, a codebook op or the
+    VIII assimilation table, plus the glides and hamza letters that the
+    rule classes G, Q and K and the stem repairs single out.  An affix
+    letter stays special because back-references compare radicals with it.
+    """
+    named = set(SEMICONSONANTS | HAMZA_LETTERS)
+    for rule in ruleset.rules:
+        named.update(rule.pattern, rule.replacement, rule.left_ctx, rule.right_ctx)
+    for table in (PERF_SUFFIX, IMPF_PREFIX, IMPV_SUFFIX, *MOOD_SUFFIX.values()):
+        for affix in table.values():
+            named.update(affix)
+    for ops in CODEBOOK.values():
+        for op in ops:
+            if op[0] not in ("dup", "ta"):  # their argument is a position
+                named.update(op[1])
+    for source, target in VIII_ASSIMILATION.items():
+        named.update(source + target)
+    return frozenset(named & CONSONANTS)
+
+
+def stand_ins(ruleset):
+    """The free consonants, in the order roots draw them as stand-ins."""
+    return "".join(sorted(CONSONANTS - special_consonants(ruleset)))
+
+
+def stand_in_root(root, free):
+    """``root`` with each radical of ``free`` renamed to the next stand-in
+    in order of first appearance; equal radicals get equal stand-ins."""
+    renamed = {}
+    for radical in root:
+        if radical in free and radical not in renamed:
+            renamed[radical] = free[len(renamed)]
+    return "".join(renamed.get(radical, radical) for radical in root)
+
+
+# One byte per symbol of the internal alphabet, of its script and of the
+# line break, so that renaming the radicals of a paradigm is one
+# bytes.translate instead of a str.translate that looks up every character.
+_BYTE_SYMBOLS = "\n" + "".join(sorted(ALPHABET)) + "".join(sorted(SCRIPT[c] for c in ALPHABET))
+_BYTE = {ch: i for i, ch in enumerate(_BYTE_SYMBOLS)}
+_TO_BYTES = codecs.charmap_build(_BYTE_SYMBOLS)
+_UNCHANGED = bytes(range(256))
+
+
+def _expand_others(first, result, others, ruleset):
+    """The results of ``others`` from ``result``, the expansion of
+    ``first``, an entry of the same key.
+
+    Each other entry's forms rename the radicals of ``first`` to its own,
+    in the surfaces and the scripts alike: to_script maps one symbol at a
+    time, and well_formed does not change when one consonant replaces
+    another.  If ``first`` failed, each other entry is expanded on its
+    own, so that its failure names its own root.
+    """
+    if isinstance(result, EntryFailed):
+        return [_expand_entry(entry, ruleset) for entry in others]
+    forms, hits = result
+    text = "\n".join([f.surface for f in forms] + [f.surface_arabic for f in forms])
+    encoded = codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
+    out = []
+    for entry in others:
+        table = bytearray(_UNCHANGED)
+        for old, new in zip(first.root, entry.root):
+            if old != new:
+                table[_BYTE[old]] = _BYTE[new]
+                table[_BYTE[SCRIPT[old]]] = _BYTE[SCRIPT[new]]
+        lines = codecs.charmap_decode(encoded.translate(table), "strict", _BYTE_SYMBOLS)[0].split("\n")
+        out.append((list(map(InflectedForm, lines[:FORMS_PER_LEMMA], lines[FORMS_PER_LEMMA:],
+                             repeat(entry.lemma), repeat(entry.root), repeat(str(entry.code)), CELLS)),
+                    hits))
+    return out
+
+
 def generate_all(entries, ruleset=None, workers=1):
     """Expand a lexicon; per-entry failures are collected, not fatal.
 
-    Returns (forms, stats).  With workers > 1 the entries are expanded
-    by the same function in a process pool; results are merged in input
-    order either way, so the output is identical to a serial run.
+    Returns (forms, stats) in input order.  Only the first entry of each
+    (code, stand-in root) is expanded; the others of that key are renamed
+    from it (see special_consonants).  With workers > 1 those first
+    entries are expanded in a process pool; the output is identical to a
+    serial run.
     """
     entries = list(entries)
+    free = stand_ins(ruleset if ruleset is not None else rules.default_rules())
+    keys = {}  # (code, stand-in root) -> indices of its entries
+    for i, entry in enumerate(entries):
+        keys.setdefault((str(entry.code), stand_in_root(entry.root, free)), []).append(i)
+    firsts = [entries[members[0]] for members in keys.values()]
     expand = functools.partial(_expand_entry, ruleset=ruleset)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(expand, entries)
+            expanded = pool.map(expand, firsts)
     else:
-        results = map(expand, entries)
+        expanded = map(expand, firsts)
+    results = [None] * len(entries)
+    for first, (i, *rest), result in zip(firsts, keys.values(), expanded):
+        results[i] = result
+        if rest:
+            others = _expand_others(first, result, [entries[j] for j in rest], ruleset)
+            for j, other in zip(rest, others):
+                results[j] = other
     stats = GenStats()
     forms = []
+    labels = {}
     for entry, result in zip(entries, results):
         if isinstance(result, EntryFailed):
             stats.failures.append(result)
             continue
         entry_forms, hits = result
         forms.extend(entry_forms)
-        _count(stats, entry, hits)
+        code = str(entry.code)
+        if code not in labels:
+            labels[code] = resolve_class(entry.code).label
+        _count(stats, labels[code], hits)
     return forms, stats
 
 
-def _count(stats, entry, hits):
+def _count(stats, label, hits):
     stats.lemma_count += 1
     stats.form_count += FORMS_PER_LEMMA
-    label = resolve_class(entry.code).label
     stats.pattern_histogram[label] = stats.pattern_histogram.get(label, 0) + 1
     for rule_id, n in hits.items():
         stats.rule_hits[rule_id] = stats.rule_hits.get(rule_id, 0) + n
@@ -141,6 +247,9 @@ def write_lexicon(forms, path):
             ]) + "\n")
 
 
+_CELLS = {(c.tag, c.paradigm, c.voice): c for c in CELLS}
+
+
 def read_lexicon(path):
     """Read an inflected lexicon TSV back; raises on malformed rows."""
     forms = []
@@ -153,10 +262,12 @@ def read_lexicon(path):
             if len(fields) != 8:
                 raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
             arabic, surface, lemma, root, code, tag, paradigm, voice = fields
-            try:
-                cell = Cell(tag, paradigm, voice)
-            except ArabverbError as exc:
-                raise ArabverbError("line %d: %s" % (lineno, exc))
+            cell = _CELLS.get((tag, paradigm, voice))
+            if cell is None:
+                try:
+                    cell = Cell(tag, paradigm, voice)  # raises: CELLS has every legal cell
+                except ArabverbError as exc:
+                    raise ArabverbError("line %d: %s" % (lineno, exc))
             forms.append(InflectedForm(surface, arabic, lemma, root, code, cell))
     return forms
 

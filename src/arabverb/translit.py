@@ -34,7 +34,7 @@ def load_codec_table():
     return a2i, i2a
 
 
-_A2I, _I2A = load_codec_table()
+_A2I, SCRIPT = load_codec_table()  # SCRIPT: internal symbol -> Arabic letter
 
 
 def to_internal(text):
@@ -62,4 +62,4 @@ def to_script(s):
     reason = well_formed(s)
     if reason is not None:
         raise MalformedInternal(reason)
-    return "".join(_I2A[ch] for ch in s)
+    return "".join(SCRIPT[ch] for ch in s)

@@ -1,0 +1,120 @@
+"""Exhaustive check of the paradigm cache against direct generation.
+
+    python3 tests/sweep_paradigm_cache.py [--quad-roots N] [--seed S]
+
+``generate_all`` expands the first entry of each (code, stand-in root) and
+renames its radicals for the other entries of that key; ``generate_entry``
+expands every entry itself.  This script compares the two on every bundled
+triliteral code x every root over the special consonants plus two free
+ones (so that keys hold roots that swap the two), and on a seeded sample
+of roots over all consonants for the quadriliteral codes.
+Forms, rule hits, failure messages and the pattern histogram must be
+equal.  It prints the paradigm count, the mismatch count and the wall time,
+and exits 1 on any mismatch.  It takes several minutes, so pytest does not
+collect it (the file name does not start with ``test_``).
+"""
+
+import argparse
+import itertools
+import os
+import random
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from arabverb import lexicon, pipeline, rules  # noqa: E402
+from arabverb.alphabet import CONSONANTS  # noqa: E402
+from arabverb.errors import EntryFailed  # noqa: E402
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "..", "src", "arabverb", "data")
+CHUNK = 300  # entries per generate_all call, so that memory stays small
+
+
+def bundled_codes():
+    codes = {}
+    for name in ("sample_lexicon.tsv", "gold_lexicon.tsv"):
+        for entry in lexicon.load_lexicon(os.path.join(DATA, name)).entries:
+            codes[str(entry.code)] = entry.code
+    return [codes[c] for c in sorted(codes)]
+
+
+def chunks(code, roots, free):
+    """Entries of one code in slices of about CHUNK, never splitting the
+    roots of one key, so that the cache is exercised."""
+    groups = {}
+    for root in roots:
+        groups.setdefault(pipeline.stand_in_root(root, free), []).append(root)
+    chunk = []
+    for group in groups.values():
+        chunk += [lexicon.LexiconEntry("", root, code) for root in group]
+        if len(chunk) >= CHUNK:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+def compare(entries):
+    """Entries of distinct roots whose forms or failure differ between the
+    two paths, plus one if the rule hits, the failure list or the pattern
+    histogram differ."""
+    forms, stats = pipeline.generate_all(entries)
+    cached = {}
+    for f in forms:
+        cached.setdefault(f.root, []).append(f)
+    cached_failures = [str(f) for f in stats.failures]
+    bad = 0
+    hits, failures, histogram = {}, [], {}
+    for entry in entries:
+        entry_hits = {}
+        try:
+            want = pipeline.generate_entry(entry, None, entry_hits)
+        except EntryFailed as exc:
+            failures.append(str(exc))
+            bad += str(exc) not in cached_failures
+            continue
+        bad += cached.get(entry.root) != want
+        for rule_id, n in entry_hits.items():
+            hits[rule_id] = hits.get(rule_id, 0) + n
+        label = lexicon.resolve_class(entry.code).label
+        histogram[label] = histogram.get(label, 0) + 1
+    bad += (stats.rule_hits, cached_failures, stats.pattern_histogram) != (hits, failures, histogram)
+    return bad
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--quad-roots", type=int, default=2000, help="sampled roots per quadriliteral code")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    ruleset = rules.default_rules()
+    special = "".join(sorted(pipeline.special_consonants(ruleset)))
+    free = pipeline.stand_ins(ruleset)
+    letters = special + free[1] + free[-1]
+    rng = random.Random(args.seed)
+    start = time.perf_counter()
+    paradigms = mismatches = 0
+    for code in bundled_codes():
+        if lexicon.resolve_class(code).label in lexicon.QUADRILITERAL:
+            pool = sorted(CONSONANTS)
+            roots = sorted({"".join(rng.choice(pool) for _ in range(4)) for _ in range(args.quad_roots)})
+        else:
+            roots = ["".join(r) for r in itertools.product(letters, repeat=3)]
+        code_bad = 0
+        for chunk in chunks(code, roots, free):
+            code_bad += compare(chunk)
+        paradigms += len(roots)
+        mismatches += code_bad
+        print("%s %-5s %6d roots %d mismatches" % (code, lexicon.resolve_class(code).label, len(roots), code_bad),
+              flush=True)
+    wall = time.perf_counter() - start
+    print("paradigms %d  mismatches %d  wall %.0f s  (special %s, free letters %s%s)"
+          % (paradigms, mismatches, wall, special, free[1], free[-1]))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,11 +1,16 @@
 import inspect
+import itertools
 import pickle
+import random
 
 import pytest
 
 from arabverb import errors, pipeline, rules
-from arabverb.errors import ArabverbError
-from arabverb.lexicon import LexiconEntry, parse_code, resolve_class
+from arabverb.alphabet import CONSONANTS
+from arabverb.errors import ArabverbError, EntryFailed
+from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX
+from arabverb.lexicon import CODEBOOK, QUADRILITERAL, LexiconEntry, parse_code, resolve_class
+from arabverb.stems import VIII_ASSIMILATION
 
 
 def test_exact_count_law(sample_forms, sample_entries):
@@ -119,6 +124,26 @@ def test_read_rejects_corrupted_cell(tmp_path, sample_forms):
     assert "line 4" in str(err.value)
 
 
+def test_read_interns_cells(tmp_path, sample_forms):
+    path = tmp_path / "inflected.tsv"
+    pipeline.write_lexicon(sample_forms, path.as_posix())
+    cells = {id(cell) for cell in CELLS}
+    assert all(id(f.cell) in cells for f in pipeline.read_lexicon(path.as_posix()))
+
+
+def test_read_rejects_illegal_cell(tmp_path, sample_forms):
+    # Each field is legal, the combination is not: no third-person imperative.
+    path = tmp_path / "bad.tsv"
+    pipeline.write_lexicon(sample_forms[:5], path.as_posix())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[2].split("\t")
+    fields[5:8] = ["3SM", "IMPV", "ACT"]
+    lines[2] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArabverbError, match="line 3: imperative"):
+        pipeline.read_lexicon(path.as_posix())
+
+
 def test_read_rejects_short_row(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("only\tthree\tcolumns\n", encoding="utf-8")
@@ -176,3 +201,137 @@ def test_stats_report_rows(tmp_path, sample_entries):
 def test_pattern_labels_cover_both_templates(sample_entries):
     labels = {resolve_class(e.code).label for e in sample_entries}
     assert len(labels) == 24
+
+
+def test_inflected_form_pickles_compares_and_hashes(sample_forms):
+    form = sample_forms[7]
+    back = pickle.loads(pickle.dumps(form))
+    assert back == form and back is not form
+    assert hash(back) == hash(form)
+    assert back != sample_forms[8]
+    assert len(set(sample_forms)) == len(sample_forms)
+    with pytest.raises(AttributeError):
+        form.surface = "x"
+
+
+# Paradigm cache: generate_all expands the first entry of each (code,
+# stand-in root) and renames its radicals for the others; generate_entry
+# expands every entry itself.
+
+DEFAULT_SPECIAL = "TdmnstwyðþÁÂÉÍÚ"
+
+
+def test_special_consonants_cover_every_named_consonant(ruleset):
+    special = pipeline.special_consonants(ruleset)
+    named = set()
+    for rule in ruleset.rules:
+        named |= set(rule.pattern + rule.replacement + rule.left_ctx + rule.right_ctx) & CONSONANTS
+    for table in (PERF_SUFFIX, IMPF_PREFIX, IMPV_SUFFIX, *MOOD_SUFFIX.values()):
+        named |= set("".join(table.values())) & CONSONANTS
+    for ops in CODEBOOK.values():
+        named |= {ch for op in ops if op[0] in ("prefix", "infix", "lengthen", "append")
+                  for ch in op[1] if ch in CONSONANTS}
+    named |= set("".join(VIII_ASSIMILATION) + "".join(VIII_ASSIMILATION.values()))
+    assert named <= special
+    assert special == set(DEFAULT_SPECIAL)
+    free = pipeline.stand_ins(ruleset)
+    assert len(free) == 17 and not set(free) & special
+    assert set(free) | special == CONSONANTS
+
+
+def test_special_consonants_follow_the_rule_set(ruleset):
+    custom = rules.RuleSet((rules.make_rule("b01", "phono", "b", "f", left="#"),) + ruleset.rules)
+    assert {"b", "f"} <= pipeline.special_consonants(custom)
+    assert not {"b", "f"} & set(pipeline.stand_ins(custom))
+
+
+def test_stand_in_root_keeps_identity(ruleset):
+    free = pipeline.stand_ins(ruleset)
+    assert pipeline.stand_in_root("ktb", free) == free[0] + "t" + free[1]
+    assert pipeline.stand_in_root("mdd", free) == "mdd"
+    assert pipeline.stand_in_root("qrr", free) == free[0] + free[1] + free[1]
+    assert pipeline.stand_in_root("zzz", free) == free[0] * 3
+    assert pipeline.stand_in_root("zlzl", free) == (free[0] + free[1]) * 2
+
+
+def _direct(entries, ruleset=None):
+    """generate_all's (forms, rule hits, failures, histogram), one entry at a time."""
+    forms, hits, failures, histogram = [], {}, [], {}
+    for entry in entries:
+        entry_hits = {}
+        try:
+            forms.extend(pipeline.generate_entry(entry, ruleset, entry_hits))
+        except EntryFailed as exc:
+            failures.append(str(exc))
+            continue
+        for rule_id, n in entry_hits.items():
+            hits[rule_id] = hits.get(rule_id, 0) + n
+        label = resolve_class(entry.code).label
+        histogram[label] = histogram.get(label, 0) + 1
+    return forms, hits, failures, histogram
+
+
+def _drawn_entries(codes, openers, letters, seed):
+    """Seeded roots over ``letters`` for every code: five opened by the
+    next five of ``openers`` in turn, a few drawn ones, a geminate (or
+    reduplicated quadriliteral), an all-equal one, three of the wrong
+    length, which fail, two of them sharing one key, and three that share
+    one key under the default rules, two of them swapping radicals."""
+    rng = random.Random(seed)
+
+    def draw(n):
+        return "".join(rng.choice(letters) for _ in range(n))
+
+    entries = []
+    turn = itertools.cycle(openers)
+    for code in codes:
+        size = 4 if resolve_class(code).label in QUADRILITERAL else 3
+        a, b = rng.sample(letters, 2)
+        roots = [next(turn) + draw(size - 1) for _ in range(5)] + [draw(size) for _ in range(2)]
+        roots += [a + b + b if size == 3 else a + b + a + b, a * size,
+                  draw(7 - size), "klqz"[:7 - size], "zqlk"[:7 - size],
+                  "klqz"[:size], "zqlk"[:size], "HDSX"[:size]]
+        entries += [LexiconEntry("", root, code) for root in roots]
+    return entries
+
+
+def _assert_cached_equals_direct(entries, ruleset=None):
+    forms, stats = pipeline.generate_all(entries, ruleset)
+    direct_forms, hits, failures, histogram = _direct(entries, ruleset)
+    assert forms == direct_forms
+    assert stats.rule_hits == hits
+    assert [str(f) for f in stats.failures] == failures
+    assert stats.pattern_histogram == histogram
+    return forms, stats
+
+
+@pytest.fixture(scope="module")
+def drawn_entries(ruleset, sample_entries):
+    # Fixed letters, not derived from the code under test, so that a
+    # consonant wrongly left out of the special set shows as a mismatch.
+    codes = sorted({e.code for e in sample_entries}, key=str)
+    return _drawn_entries(codes, DEFAULT_SPECIAL, "".join(sorted(CONSONANTS)), 11)
+
+
+def test_cache_equals_direct_generation(drawn_entries):
+    forms, stats = _assert_cached_equals_direct(drawn_entries)
+    assert len({str(e.code) for e in drawn_entries}) == 24
+    assert len(stats.failures) == 3 * 24  # the wrong-length roots
+    assert forms
+
+
+def test_cache_equals_direct_under_a_rule_naming_a_free_consonant(ruleset):
+    custom = rules.RuleSet((rules.make_rule("b01", "phono", "b", "f", left="#"),) + ruleset.rules)
+    entries = _drawn_entries([parse_code("00L0003"), parse_code("00H0000")], "bf", "bfktqmw", 3)
+    _forms, stats = _assert_cached_equals_direct(entries, custom)
+    assert stats.rule_hits["b01"] > 0
+
+
+def test_cache_parallel_equals_serial(drawn_entries):
+    entries = drawn_entries[::3]
+    serial, serial_stats = pipeline.generate_all(entries)
+    parallel, parallel_stats = pipeline.generate_all(entries, workers=2)
+    assert parallel == serial
+    assert parallel_stats.rule_hits == serial_stats.rule_hits
+    assert parallel_stats.pattern_histogram == serial_stats.pattern_histogram
+    assert [str(f) for f in parallel_stats.failures] == [str(f) for f in serial_stats.failures]
