@@ -6,6 +6,7 @@ TSV lexicon.
 import codecs
 import functools
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -57,23 +58,27 @@ class GenStats:
 
 
 def generate_entry(entry, ruleset=None, hits=None):
-    """All 109 inflected forms of one entry."""
+    """All 109 inflected forms of one entry.
+
+    Cells that share an underlying form (2SM and 3SF imperfective, for
+    example) share its cascade: each distinct form is cascaded once, and
+    its rule hits count once for every cell that produced it.
+    """
     rs = ruleset if ruleset is not None else rules.default_rules()
     try:
         stems = build_stems(entry)
-        code = str(entry.code)
-        out = []
-        for cell in CELLS:
-            surface = rs.apply(inflect(stems, cell), hits)
-            out.append(InflectedForm(
-                surface=surface,
-                surface_arabic=to_script(surface),
-                lemma=entry.lemma,
-                root=entry.root,
-                code=code,
-                cell=cell,
-            ))
-        return out
+        underlying = [inflect(stems, cell) for cell in CELLS]
+        done = {}
+        for form, cells in Counter(underlying).items():
+            own = None if hits is None else {}
+            surface = rs.apply(form, own)
+            done[form] = surface, to_script(surface)
+            if own:
+                for rule_id, n in own.items():
+                    hits[rule_id] = hits.get(rule_id, 0) + cells * n
+        lemma, root, code = entry.lemma, entry.root, str(entry.code)
+        return [InflectedForm(*done[form], lemma, root, code, cell)
+                for form, cell in zip(underlying, CELLS)]
     except ArabverbError as exc:
         raise EntryFailed(entry.lemma or entry.root, type(exc).__name__, exc)
 

@@ -122,21 +122,23 @@ def _substitute(rule, match):
     return "".join(out)
 
 
-def _scan(rule, form, hits):
-    rx = rule._rx
-    pos = 0
-    out = form
-    while pos <= len(out):
-        m = rx.search(out, pos)
-        if m is None:
-            break
-        start, end = m.span(1)
-        rep = _substitute(rule, m)
-        out = out[:start] + rep + out[end:]
-        if hits is not None:
-            hits[rule.id] = hits.get(rule.id, 0) + 1
-        pos = start + max(len(rep), 1)
-    return out
+def _rewrite(rule, form, match, hits):
+    """Rewrite ``match``, the first match of ``rule`` in ``form``, and every
+    later non-overlapping one, left to right."""
+    search = rule._rx.search
+    n = 0
+    while match is not None:
+        start, end = match.span(1)
+        rep = _substitute(rule, match)
+        form = form[:start] + rep + form[end:]
+        n += 1
+        # Resume right after the replacement.  Group 1 is never empty, so
+        # each match uses up a symbol of the form and the loop ends, also
+        # after a deletion.
+        match = search(form, start + len(rep))
+    if hits is not None:
+        hits[rule.id] = hits.get(rule.id, 0) + n
+    return form
 
 
 class RuleSet:
@@ -170,11 +172,11 @@ class RuleSet:
             if trigger:
                 if symbols is None:
                     symbols = set(form)
-                if not (trigger & symbols):
+                if symbols.isdisjoint(trigger):
                     continue
-            out = _scan(rule, form, hits)
-            if out != form:
-                form = out
+            match = rule._rx.search(form)
+            if match is not None:
+                form = _rewrite(rule, form, match, hits)
                 symbols = None
         return form
 

@@ -8,9 +8,10 @@ import pytest
 from arabverb import errors, pipeline, rules
 from arabverb.alphabet import CONSONANTS
 from arabverb.errors import ArabverbError, EntryFailed
-from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX
+from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, inflect
 from arabverb.lexicon import CODEBOOK, QUADRILITERAL, LexiconEntry, parse_code, resolve_class
-from arabverb.stems import VIII_ASSIMILATION
+from arabverb.stems import VIII_ASSIMILATION, build_stems
+from arabverb.translit import to_script
 
 
 def test_exact_count_law(sample_forms, sample_entries):
@@ -252,6 +253,54 @@ def test_stand_in_root_keeps_identity(ruleset):
     assert pipeline.stand_in_root("qrr", free) == free[0] + free[1] + free[1]
     assert pipeline.stand_in_root("zzz", free) == free[0] * 3
     assert pipeline.stand_in_root("zlzl", free) == (free[0] + free[1]) * 2
+
+
+def _per_cell(entry, ruleset, hits):
+    """generate_entry without sharing: one cascade per cell."""
+    stems = build_stems(entry)
+    out = []
+    for cell in CELLS:
+        surface = ruleset.apply(inflect(stems, cell), hits)
+        out.append(pipeline.InflectedForm(surface, to_script(surface), entry.lemma,
+                                          entry.root, str(entry.code), cell))
+    return out
+
+
+CUSTOM_HEAD = (
+    rules.make_rule("s01", "phono", "a", "", "#C", "C"),
+    rules.make_rule("s02", "phono", "aC", "a11", "", "a"),
+)
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["bundled", "custom"])
+def test_generate_entry_cascades_each_distinct_form_once(
+        monkeypatch, sample_entries, gold_entries, ruleset, custom):
+    if custom:
+        ruleset = rules.RuleSet(CUSTOM_HEAD + ruleset.rules)
+    applied = []
+    apply = rules.RuleSet.apply
+
+    def counted(self, form, hits=None):
+        applied.append(form)
+        return apply(self, form, hits)
+
+    monkeypatch.setattr(rules.RuleSet, "apply", counted)
+    shared, fired = 0, set()
+    for entry in list(sample_entries) + list(gold_entries):
+        expected_hits, hits = {}, {}
+        expected = _per_cell(entry, ruleset, expected_hits)
+        del applied[:]
+        forms = pipeline.generate_entry(entry, ruleset, hits)
+        stems = build_stems(entry)
+        underlying = [inflect(stems, cell) for cell in CELLS]
+        assert sorted(applied) == sorted(set(underlying))
+        assert forms == expected
+        assert hits == expected_hits
+        shared += len(underlying) - len(applied)
+        fired.update(hits)
+    assert shared > 1000
+    if custom:
+        assert {"s01", "s02"} <= fired
 
 
 def _direct(entries, ruleset=None):
