@@ -6,6 +6,8 @@ hamza-bearing letters and the semiconsonants w/y; A is the bare alif
 and the marks are ~ (gemination) and · (vowellessness).
 """
 
+import re
+
 # Short vowels
 VOWELS = frozenset("aiu")
 
@@ -53,3 +55,14 @@ def well_formed(s):
         if ch in VOWELS and i > 0 and s[i - 1] in VOWELS:
             return "vowel cluster %r at position %d" % (s[i - 1 : i + 1], i)
     return None
+
+
+def _one_of(symbols):
+    return "[%s]" % re.escape("".join(sorted(symbols)))
+
+
+# The strings well_formed accepts, as one expression for ``fullmatch``: no
+# opening mark, and a non-vowel after every vowel but a final one.
+WELL_FORMED = re.compile("(?!%s)%s*(?:%s%s+)*%s?" % (
+    _one_of((SHADDA, SUKUN)), _one_of(ALPHABET - VOWELS),
+    _one_of(VOWELS), _one_of(ALPHABET - VOWELS), _one_of(VOWELS)))

@@ -18,15 +18,21 @@ Pattern language (one symbol per character):
 Left/right contexts use literals, C, V (and # for the word boundary),
 plus the same class letters where a finer set is needed.  Replacements
 are literals and capture references.
+
+Each rule records what a match needs in the form: every literal of its
+pattern and contexts except the near-ubiquitous ``aiu·~``, and one member
+of each narrow class (G, Q) they name.  The cascade runs, for the needed
+symbols a form holds, only the rules whose needs those symbols meet.
 """
 
 import functools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .alphabet import CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
-from .errors import ArabverbError, BadRuleFile, StageOrderError
+from .errors import BadRuleFile, StageOrderError
 
 _BASIC = CONSONANTS - SEMICONSONANTS - HAMZA_LETTERS
 
@@ -52,7 +58,7 @@ class RewriteRule:
     right_ctx: str
     comment: str = ""
     _rx: object = field(default=None, compare=False, repr=False)
-    _trigger: frozenset = field(default=frozenset(), compare=False, repr=False)
+    _needs: frozenset = field(default=frozenset(), compare=False, repr=False)
 
 
 def _ctx_source(ctx, trailing):
@@ -70,45 +76,48 @@ def _ctx_source(ctx, trailing):
     return "".join(out)
 
 
-# Symbols present in nearly every form are useless as firing guards.
-_UBIQUITOUS = frozenset("aiu·~")
-
-# A narrow class still implies a usable guard set.
-_CLASS_TRIGGERS = {"G": frozenset("wy"), "Q": HAMZA_LETTERS}
+# What a pattern or context symbol needs in the form: itself, a member of a
+# narrow class, or nothing for a broad class or the near-ubiquitous aiu·~.
+_NEED = dict.fromkeys([*_CLASS_SETS, *"aiu·~"])
+_NEED.update(G=frozenset("wy"), Q=HAMZA_LETTERS)
 
 
 def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment=""):
     if stage not in STAGES:
         raise BadRuleFile("rule %s: unknown stage %r" % (rule_id, stage))
     core = []
-    literals = set()
-    narrow = set()
+    captures = 0
     for ch in pattern:
         if ch == ".":
             core.append("(.)")
+            captures += 1
         elif ch in _CLASS_SETS:
             core.append("([%s])" % re.escape(_CLASS_SETS[ch]))
-            if ch in _CLASS_TRIGGERS:
-                narrow |= _CLASS_TRIGGERS[ch]
+            captures += 1
         elif ch.isdigit():
+            if ch not in "123456789"[:captures]:
+                raise BadRuleFile("rule %s: pattern %r: digit %s names no earlier capture"
+                                  % (rule_id, pattern, ch))
             core.append("\\%d" % (int(ch) + 1))  # +1: group 1 is the core
         else:
             core.append(re.escape(ch))
-            if ch not in _UBIQUITOUS:
-                literals.add(ch)
+    for ch in replacement:
+        if ch.isdigit() and ch not in "123456789"[:captures]:
+            raise BadRuleFile("rule %s: replacement %r: digit %s names none of the %d captures of %r"
+                              % (rule_id, replacement, ch, captures, pattern))
     src = "(?:%s)(%s)(?=%s)" % (
         _ctx_source(left, False),
         "".join(core),
         _ctx_source(right, True),
     )
-    # Firing guard: a match must contain every pattern literal, and a
-    # member of each narrow class; either gives a sound reason to skip
-    # the rule when the form lacks all guard symbols.
-    trigger = frozenset(literals or narrow)
+    symbols = [ch for ch in pattern if ch != "." and not ch.isdigit()]
+    symbols += [ch for ch in left + right if ch not in "#."]
+    needs = {_NEED.get(ch, frozenset(ch)) for ch in symbols}
+    needs.discard(None)
     return RewriteRule(
         id=rule_id, stage=stage, pattern=pattern, replacement=replacement,
         left_ctx=left, right_ctx=right, comment=comment,
-        _rx=re.compile(src), _trigger=trigger,
+        _rx=re.compile(src), _needs=frozenset(needs),
     )
 
 
@@ -142,7 +151,12 @@ def _rewrite(rule, form, match, hits):
 
 
 class RuleSet:
-    """An ordered cascade; phonological rules strictly precede orthographic."""
+    """An ordered cascade; phonological rules strictly precede orthographic.
+
+    A plan is the cascade-ordered (index, rule) pairs whose needs a set of
+    needed symbols meets.  Plans are made on first use, keyed on the needed
+    symbols a form holds, and share their pairs.
+    """
 
     def __init__(self, rules):
         seen = set()
@@ -158,6 +172,9 @@ class RuleSet:
                     "phonological rule %s after the orthographic stage" % rule.id
                 )
         self.rules = tuple(rules)
+        self._pairs = tuple(enumerate(self.rules))
+        self._needed = frozenset().union(*(n for r in self.rules for n in r._needs))
+        self._plans = {}
 
     def __len__(self):
         return len(self.rules)
@@ -165,20 +182,34 @@ class RuleSet:
     def count(self, stage):
         return sum(1 for r in self.rules if r.stage == stage)
 
+    def _plan(self, key):
+        """The (index, rule) pairs whose needs the needed symbols ``key`` meet."""
+        plan = self._plans[key] = tuple(
+            pair for pair in self._pairs
+            if all(not key.isdisjoint(need) for need in pair[1]._needs))
+        return plan
+
     def apply(self, form, hits=None):
-        symbols = None
-        for rule in self.rules:
-            trigger = rule._trigger
-            if trigger:
-                if symbols is None:
-                    symbols = set(form)
-                if symbols.isdisjoint(trigger):
-                    continue
-            match = rule._rx.search(form)
-            if match is not None:
-                form = _rewrite(rule, form, match, hits)
-                symbols = None
-        return form
+        plans = self._plans
+        needed = self._needed
+        after = 0
+        while True:
+            # A rewrite can add or remove needed symbols: re-key, and go on
+            # with the later rules of the new plan.
+            key = needed.intersection(form)
+            plan = plans.get(key)
+            if plan is None:
+                plan = self._plan(key)
+            if after:
+                plan = plan[bisect_left(plan, (after,)):]
+            for index, rule in plan:
+                match = rule._rx.search(form)
+                if match is not None:
+                    form = _rewrite(rule, form, match, hits)
+                    after = index + 1
+                    break
+            else:
+                return form
 
 
 def apply_rule(rule, form, hits=None):
@@ -206,10 +237,8 @@ def load_rules(path=None):
             raise BadRuleFile("rule file line %d: empty pattern" % lineno)
         try:
             rules.append(make_rule(rule_id, stage, pattern, replacement, left, right, comment))
-        except ArabverbError:
-            raise
-        except Exception as exc:
-            raise BadRuleFile("rule file line %d: %s" % (lineno, exc))
+        except (BadRuleFile, re.error) as exc:
+            raise BadRuleFile("rule file line %d: %s" % (lineno, exc)) from None
     return RuleSet(rules)
 
 

@@ -10,7 +10,7 @@ across the orderings found in real text.
 import unicodedata
 from importlib import resources
 
-from .alphabet import SHADDA, VOWELS, well_formed
+from .alphabet import SHADDA, VOWELS, WELL_FORMED, well_formed
 from .errors import MalformedInternal, UnknownCharacter
 
 
@@ -35,6 +35,7 @@ def load_codec_table():
 
 
 _A2I, SCRIPT = load_codec_table()  # SCRIPT: internal symbol -> Arabic letter
+_TO_SCRIPT = str.maketrans(SCRIPT)
 
 
 def to_internal(text):
@@ -59,7 +60,6 @@ def to_internal(text):
 
 def to_script(s):
     """Convert an internal string back to Arabic script."""
-    reason = well_formed(s)
-    if reason is not None:
-        raise MalformedInternal(reason)
-    return "".join(SCRIPT[ch] for ch in s)
+    if WELL_FORMED.fullmatch(s) is None:
+        raise MalformedInternal(well_formed(s))
+    return s.translate(_TO_SCRIPT)

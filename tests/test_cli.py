@@ -62,6 +62,25 @@ def test_generate_rules_with_workers(tmp_path):
     assert outputs["parallel"] == outputs["serial"] != outputs["default"]
 
 
+# The rule names a second capture of a one-capture pattern.  Before load_rules
+# checked it, the rule file loaded and generation died at its first match.
+@pytest.mark.parametrize("replacement", ["2a", "0"])
+def test_generate_rejects_rule_naming_a_missing_capture(tmp_path, capsys, replacement):
+    with open(os.path.join(DATA, "surface_rules.tsv"), encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines.append("o99\tortho\tK\t%s\t\t\tno such capture\n" % replacement)
+    rules = tmp_path / "rules.tsv"
+    rules.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    rc = main(["generate", "--lexicon", SAMPLE_LEXICON, "--rules", rules.as_posix(),
+               "--out", out.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rule file line %d: rule o99: " % len(lines))
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_inflect_lemma(capsys):
     rc = main(["inflect", "--lemma", "فَعَلَ", "--voice", "act"])
     assert rc == 0

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from arabverb import pipeline
+from arabverb.alphabet import ALPHABET, HAMZA_LETTERS
 from arabverb.errors import BadRuleFile, StageOrderError
 from arabverb.inflect import CELLS, inflect
 from arabverb.rules import RuleSet, apply_cascade, apply_rule, default_rules, load_rules, make_rule
@@ -76,6 +79,39 @@ def test_bad_rule_line_diagnosed(tmp_path):
     with pytest.raises(BadRuleFile) as err:
         load_rules(str(path))
     assert "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize("pattern, replacement", [
+    ("K", "2a"),  # one capture, digit 2
+    ("K", "0"),  # captures count from 1
+    ("aK", "1a2"),
+    ("a", "1"),  # no capture at all
+    ("C1", "13"),
+])
+def test_replacement_digit_must_name_a_capture(pattern, replacement):
+    with pytest.raises(BadRuleFile) as err:
+        make_rule("x9", "phono", pattern, replacement)
+    assert "rule x9" in str(err.value)
+
+
+@pytest.mark.parametrize("pattern", ["1C", "C2", "C0"])
+def test_pattern_digit_must_name_an_earlier_capture(pattern):
+    with pytest.raises(BadRuleFile) as err:
+        make_rule("x9", "phono", pattern, "1")
+    assert "rule x9" in str(err.value)
+
+
+def test_bad_replacement_digit_in_rule_file(tmp_path):
+    path = tmp_path / "rules.tsv"
+    path.write_text(
+        "# comment\n"
+        "p1\tphono\tuwi\tiy\t\tCa\tx\n"
+        "p2\tphono\tK\t2a\t\t\tx\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(BadRuleFile) as err:
+        load_rules(str(path))
+    assert "line 3" in str(err.value) and "rule p2" in str(err.value)
 
 
 def _rule(rule_id):
@@ -176,15 +212,74 @@ def test_cascade_equals_reference(ruleset, underlying_forms):
     assert max(fired.values()) > 1  # a rule rewrote two sites of one form
 
 
+# Strings over every internal symbol, those that no underlying form holds
+# (Y, Ã and the reseated hamza letters) included: half drawn at random,
+# half underlying forms with one to three symbols replaced at random.
+def _random_strings(seed, forms, n=3000):
+    rng = random.Random(seed)
+    symbols = sorted(ALPHABET)
+    weights = [4 if ch in "aiu" else 1 for ch in symbols]
+    strings = ["".join(rng.choices(symbols, weights, k=rng.randint(1, 12))) for _ in range(n)]
+    for form in rng.sample(forms, n):
+        form = list(form)
+        for _ in range(rng.randint(1, 3)):
+            form[rng.randrange(len(form))] = rng.choice(symbols)
+        strings.append("".join(form))
+    return strings
+
+
+def _plan_is_exact(ruleset):
+    """Every plan in the table lists, in cascade order, exactly the rules
+    whose needs its key meets: each literal of the pattern and contexts but
+    ``aiu·~``, and a member of each narrow class they name."""
+    narrow = {"G": frozenset("wy"), "Q": HAMZA_LETTERS}
+
+    def meets(key, rule):
+        symbols = [ch for ch in rule.pattern if ch != "." and not ch.isdigit()]
+        symbols += [ch for ch in rule.left_ctx + rule.right_ctx if ch not in "#."]
+        for ch in symbols:
+            if ch in narrow:
+                if not key & narrow[ch]:
+                    return False
+            elif ch not in "CKMVaiu·~" and ch not in key:
+                return False
+        return True
+
+    assert ruleset._plans
+    for key, plan in ruleset._plans.items():
+        assert key <= ruleset._needed
+        assert plan == tuple((i, r) for i, r in enumerate(ruleset.rules) if meets(key, r)), key
+
+
+def test_cascade_equals_reference_on_random_strings(ruleset, underlying_forms):
+    fired = _assert_cascade_equals_reference(ruleset, _random_strings(7, underlying_forms))
+    assert len(fired) >= 60
+    assert ruleset._needed == frozenset("AtwyÁÂÉÍÚ")
+    _plan_is_exact(ruleset)
+
+
+CUSTOM_RULES = (
+    make_rule("d7", "phono", "a", "i", "", "t"),  # its one need, t, is in a context
+    make_rule("d1", "phono", "a", "", "C", "C"),  # deletion at adjacent sites
+    make_rule("d2", "phono", "C1", "1~"),  # back-reference in the pattern
+    make_rule("d3", "phono", "VG", "21", "", "C"),  # captures swapped
+    make_rule("d4", "phono", "K", "1·", "", "K"),  # chains of sites
+    make_rule("d8", "phono", "C", "1·", "", "Q"),  # a narrow class only in a context
+    make_rule("d9", "phono", "Áa", "Ã"),  # writes Ã, which no underlying form holds
+    make_rule("d5", "ortho", "..", "21", "#"),  # anchored at the start
+    make_rule("d6", "ortho", "V", "", "", "#"),  # deletion at the end
+    make_rule("d10", "ortho", "Ã", "Â"),  # fires on what d9 wrote: the form is re-keyed
+    make_rule("d11", "ortho", "~a", "a"),  # a pattern of aiu·~ only: no needs
+)
+
+
 def test_cascade_equals_reference_under_a_custom_rule_set(underlying_forms):
-    custom = RuleSet([
-        make_rule("d1", "phono", "a", "", "C", "C"),  # deletion at adjacent sites
-        make_rule("d2", "phono", "C1", "1~"),  # back-reference in the pattern
-        make_rule("d3", "phono", "VG", "21", "", "C"),  # captures swapped
-        make_rule("d4", "phono", "K", "1·", "", "K"),  # chains of sites
-        make_rule("d5", "ortho", "..", "21", "#"),  # anchored at the start
-        make_rule("d6", "ortho", "V", "", "", "#"),  # deletion at the end
-    ])
+    custom = RuleSet(CUSTOM_RULES)
+    assert custom._needed == frozenset("twyÁÂÃÉÍÚ")
     fired = _assert_cascade_equals_reference(custom, underlying_forms)
-    assert set(fired) == {"d1", "d2", "d3", "d4", "d5", "d6"}
+    assert set(fired) == {rule.id for rule in CUSTOM_RULES}
     assert fired["d1"] > 1 and fired["d4"] > 1
+    assert not any("Ã" in form for form in underlying_forms)
+    fired = _assert_cascade_equals_reference(custom, _random_strings(8, underlying_forms))
+    assert set(fired) == {rule.id for rule in CUSTOM_RULES}
+    _plan_is_exact(custom)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from arabverb.alphabet import ALPHABET, well_formed
 from arabverb.errors import MalformedInternal, UnknownCharacter
-from arabverb.translit import load_codec_table, to_internal, to_script
+from arabverb.translit import SCRIPT, load_codec_table, to_internal, to_script
 
 
 def test_kataba():
@@ -72,3 +75,28 @@ def test_codec_table_bijective():
     a2i, i2a = load_codec_table()
     assert len(a2i) == len(i2a)
     assert set(a2i.values()) == set(i2a.keys())
+
+
+def test_to_script_agrees_with_well_formed():
+    """On seeded strings over the alphabet plus one foreign symbol, often
+    opened by a mark and often holding vowel pairs, to_script raises with
+    well_formed's reason or maps symbol by symbol."""
+    rng = random.Random(3)
+    symbols = sorted(ALPHABET) + ["@"]
+    weights = [6 if ch in "aiu~·" else 1 for ch in symbols]
+    strings = [""] + ["".join(rng.choices(symbols, weights, k=rng.randint(1, 8)))
+                      for _ in range(5000)]
+    reasons = set()
+    for s in strings:
+        reason = well_formed(s)
+        if reason is None:
+            assert to_script(s) == "".join(SCRIPT[ch] for ch in s)
+        else:
+            with pytest.raises(MalformedInternal) as err:
+                to_script(s)
+            assert str(err.value) == reason
+            reasons.add(reason)
+    assert "symbol '@' not in alphabet" in reasons
+    assert {"'~' may not open a word", "'·' may not open a word"} <= reasons
+    assert any(reason.startswith("vowel cluster") for reason in reasons)
+    assert sum(well_formed(s) is None for s in strings) > 1000
