@@ -5,7 +5,7 @@ inflect a lemma, and list the lemmas of a root.  Everything is an
 index over the generator's output; nothing is parsed on the fly.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .alphabet import ALPHABET, SHADDA, SUKUN, VOWELS
 from .errors import LemmaNotFound
@@ -14,11 +14,18 @@ from .lexicon import parse_code, resolve_class
 from .translit import to_internal
 
 DIACRITICS = VOWELS | {SHADDA, SUKUN}
+# Every internal symbol is Latin-1, so a surface strips as bytes in one C
+# call; any other string takes the str.translate path.
+_DIACRITIC_BYTES = "".join(sorted(DIACRITICS)).encode("latin-1")
+_NO_DIACRITICS = dict.fromkeys(map(ord, DIACRITICS))
 
 
 def skeleton(s):
     """Strip short vowels, gemination and vowellessness marks."""
-    return "".join(ch for ch in s if ch not in DIACRITICS)
+    try:
+        return s.encode("latin-1").translate(None, _DIACRITIC_BYTES).decode("latin-1")
+    except UnicodeEncodeError:
+        return s.translate(_NO_DIACRITICS)
 
 
 def matches_partial(query, candidate):
@@ -35,16 +42,11 @@ def matches_partial(query, candidate):
     return i == len(query)
 
 
-@dataclass(frozen=True)
-class Analysis:
-    lemma: str
-    root: str
-    code: str
-    label: str
-    surface: str
-    tag: str
-    paradigm: str
-    voice: str
+class Analysis(namedtuple("Analysis", "lemma root code label surface tag paradigm voice")):
+    """One reading of a form.  A named tuple, so that the index builds,
+    hashes and holds one per form cheaply."""
+
+    __slots__ = ()
 
     def sort_key(self):
         return (self.lemma, self.code, self.paradigm, self.voice, self.tag)
@@ -54,28 +56,36 @@ class FormIndex:
     """Diacritic-stripped, lemma and root lookup over inflected forms."""
 
     def __init__(self, forms):
-        self.by_skeleton = {}
-        self.by_lemma = {}
-        self.by_root = {}
+        self.by_skeleton = by_skeleton = {}
+        self.by_lemma = by_lemma = {}
+        self.by_root = by_root = {}
         seen = set()
         labels = {}  # a label depends only on the code
+        # The rows of one entry come in a run that shares (lemma, code, root),
+        # so its label, by_lemma rows and by_root key are looked up once per
+        # run.  A run that starts with a duplicate row finds them already
+        # there, put by the row it repeats.
+        lemma = code = root = None
         for f in forms:
-            label = labels.get(f.code)
-            if label is None:
-                label = labels[f.code] = resolve_class(parse_code(f.code)).label
-            analysis = Analysis(
-                lemma=f.lemma, root=f.root, code=f.code, label=label,
-                surface=f.surface, tag=f.cell.tag,
-                paradigm=f.cell.paradigm, voice=f.cell.voice,
-            )
+            if f.lemma != lemma or f.code != code or f.root != root:
+                lemma, code, root = f.lemma, f.code, f.root
+                label = labels.get(code)
+                if label is None:
+                    label = labels[code] = resolve_class(parse_code(code)).label
+                rows = by_lemma.setdefault(lemma, {}).setdefault(code, [])
+                by_root.setdefault(root, {})[(lemma, code)] = label
+            cell, surface = f.cell, f.surface
+            analysis = Analysis(lemma, root, code, label, surface, cell.tag, cell.paradigm, cell.voice)
             if analysis in seen:
                 continue  # identical duplicate rows collapse
             seen.add(analysis)
-            self.by_skeleton.setdefault(skeleton(f.surface), []).append(analysis)
-            self.by_lemma.setdefault(f.lemma, {}).setdefault(f.code, []).append(
-                (CELL_ORDER[f.cell], f.cell, f.surface)
-            )
-            self.by_root.setdefault(f.root, {})[(f.lemma, f.code)] = label
+            key = skeleton(surface)
+            bucket = by_skeleton.get(key)
+            if bucket is None:
+                by_skeleton[key] = [analysis]
+            else:
+                bucket.append(analysis)
+            rows.append((CELL_ORDER[cell], cell, surface))
         self.size = len(seen)
 
     def __len__(self):
@@ -83,7 +93,7 @@ class FormIndex:
 
 
 def _to_query(text):
-    if text and all(ch in ALPHABET for ch in text):
+    if text and ALPHABET.issuperset(text):
         return text
     return to_internal(text)
 

@@ -6,8 +6,8 @@ to stderr.
 """
 
 import argparse
+import os
 import sys
-from importlib import resources
 
 from . import analyzer, evaluate, pipeline, rules
 from .errors import ArabverbError
@@ -16,7 +16,7 @@ from .translit import to_script
 
 
 def _default_lexicon():
-    return str(resources.files("arabverb.data").joinpath("sample_lexicon.tsv"))
+    return os.path.join(os.path.dirname(__file__), "data", "sample_lexicon.tsv")
 
 
 def _positive_int(text):

@@ -5,7 +5,6 @@ TSV lexicon.
 
 import codecs
 import functools
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -202,6 +201,8 @@ def generate_all(entries, ruleset=None, workers=1):
     firsts = [entries[members[0]] for members in keys.values()]
     expand = functools.partial(_expand_entry, ruleset=ruleset)
     if workers > 1:
+        import multiprocessing  # only a pool needs it; every import of arabverb would pay for it
+
         with multiprocessing.Pool(workers) as pool:
             expanded = pool.map(expand, firsts)
     else:
@@ -258,6 +259,7 @@ _CELLS = {(c.tag, c.paradigm, c.voice): c for c in CELLS}
 def read_lexicon(path):
     """Read an inflected lexicon TSV back; raises on malformed rows."""
     forms = []
+    entry = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -267,6 +269,10 @@ def read_lexicon(path):
             if len(fields) != 8:
                 raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
             arabic, surface, lemma, root, code, tag, paradigm, voice = fields
+            if (lemma, root, code) == entry:
+                lemma, root, code = entry  # the rows of one entry share its strings
+            else:
+                entry = lemma, root, code
             cell = _CELLS.get((tag, paradigm, voice))
             if cell is None:
                 try:

@@ -26,10 +26,10 @@ symbols a form holds, only the rules whose needs those symbols meet.
 """
 
 import functools
+import os
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .alphabet import CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
 from .errors import BadRuleFile, StageOrderError
@@ -220,10 +220,9 @@ def apply_rule(rule, form, hits=None):
 def load_rules(path=None):
     """Load a rule TSV: id, stage, pattern, replacement, left, right, comment."""
     if path is None:
-        text = resources.files("arabverb.data").joinpath("surface_rules.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        path = os.path.join(os.path.dirname(__file__), "data", "surface_rules.tsv")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     rules = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):

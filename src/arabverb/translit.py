@@ -7,8 +7,8 @@ internal convention shadda-before-vowel, so ``to_internal`` is stable
 across the orderings found in real text.
 """
 
+import os
 import unicodedata
-from importlib import resources
 
 from .alphabet import SHADDA, VOWELS, WELL_FORMED, well_formed
 from .errors import MalformedInternal, UnknownCharacter
@@ -16,7 +16,8 @@ from .errors import MalformedInternal, UnknownCharacter
 
 def load_codec_table():
     """Load the bundled codec table; returns (arabic->internal, internal->arabic)."""
-    text = resources.files("arabverb.data").joinpath("codec_table.tsv").read_text("utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "data", "codec_table.tsv"), encoding="utf-8") as fh:
+        text = fh.read()
     a2i, i2a = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.rstrip("\n")

@@ -1,8 +1,14 @@
+import pickle
+import random
+
 import pytest
 
 from arabverb import analyzer
-from arabverb.analyzer import FormIndex, analyze, derive_root, inflect_verb, matches_partial, skeleton
+from arabverb.alphabet import ALPHABET
+from arabverb.analyzer import (DIACRITICS, Analysis, FormIndex, analyze, derive_root, inflect_verb,
+                               matches_partial, skeleton)
 from arabverb.errors import LemmaNotFound, UnknownCharacter
+from arabverb.inflect import CELL_ORDER
 from arabverb.lexicon import parse_code, resolve_class
 from arabverb.pipeline import read_lexicon, write_lexicon
 
@@ -163,3 +169,88 @@ def test_index_resolves_each_code_once(monkeypatch, sample_forms):
     monkeypatch.setattr(analyzer, "resolve_class", counting)
     FormIndex(sample_forms)
     assert sorted(calls) == sorted({f.code for f in sample_forms})
+
+
+# FormIndex builds its maps in one pass, looking up the lemma table and the
+# root entry once per run of rows of one entry.  The reference below is the
+# plain per-row build: every map, its key order and its list order must
+# come out the same.
+
+def reference_skeleton(s):
+    return "".join(ch for ch in s if ch not in DIACRITICS)
+
+
+class ReferenceIndex:
+    def __init__(self, forms):
+        self.by_skeleton, self.by_lemma, self.by_root = {}, {}, {}
+        seen = set()
+        for f in forms:
+            label = resolve_class(parse_code(f.code)).label
+            analysis = Analysis(f.lemma, f.root, f.code, label, f.surface,
+                                f.cell.tag, f.cell.paradigm, f.cell.voice)
+            if analysis in seen:
+                continue
+            seen.add(analysis)
+            self.by_skeleton.setdefault(reference_skeleton(f.surface), []).append(analysis)
+            self.by_lemma.setdefault(f.lemma, {}).setdefault(f.code, []).append(
+                (CELL_ORDER[f.cell], f.cell, f.surface))
+            self.by_root.setdefault(f.root, {})[(f.lemma, f.code)] = label
+        self.size = len(seen)
+
+
+def ordered(index):
+    """The three maps as nested lists, so that key order counts."""
+    return (list(index.by_skeleton.items()),
+            [(lemma, list(tables.items())) for lemma, tables in index.by_lemma.items()],
+            [(root, list(found.items())) for root, found in index.by_root.items()])
+
+
+def shuffled_with_repeats(forms, seed):
+    rng = random.Random(seed)
+    rows = list(forms) + rng.sample(forms, len(forms) // 4)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_index_equals_the_per_row_build(sample_forms, gold_forms):
+    one, two = sample_forms[:109], sample_forms[109:218]
+    cases = [
+        sample_forms,
+        gold_forms + sample_forms,
+        shuffled_with_repeats(sample_forms, 1),
+        shuffled_with_repeats(gold_forms, 2),
+        # an entry's rows come back in a later run that starts with rows
+        # already seen, then a run of nothing but repeats
+        one[:50] + two[:10] + one[:60] + two[:10],
+    ]
+    for forms in cases:
+        index, reference = FormIndex(forms), ReferenceIndex(forms)
+        assert ordered(index) == ordered(reference)
+        assert len(index) == reference.size
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_skeleton_equals_the_generator_reference(seed):
+    rng = random.Random(seed)
+    # Arabic letters and an emoji are not Latin-1 and take the fallback.
+    symbols = sorted(ALPHABET) + ["\u0628", "\u064e", "\U0001f600", "\u00e9", " "]
+    texts = [""] + ["".join(rng.choices(symbols, k=rng.randrange(1, 12))) for _ in range(500)]
+    for text in texts:
+        assert skeleton(text) == reference_skeleton(text)
+    assert skeleton("\u0628a\U0001f600~") == "\u0628\U0001f600"
+
+
+def test_analysis_record_contract():
+    a = Analysis("kataba", "ktb", "00L0000", "Iau", "kataba", "3SM", "PERF", "ACT")
+    assert Analysis._fields == ("lemma", "root", "code", "label", "surface", "tag", "paradigm", "voice")
+    assert (a.lemma, a.root, a.code, a.label, a.surface, a.tag, a.paradigm, a.voice) == tuple(a)
+    assert a.sort_key() == ("kataba", "00L0000", "PERF", "ACT", "3SM")
+    with pytest.raises(AttributeError):
+        a.surface = "x"
+    with pytest.raises(AttributeError):
+        a.extra = 1  # no __dict__
+    twin = Analysis(*a)
+    assert twin == a and hash(twin) == hash(a) and len({a, twin}) == 1
+    assert a != a._replace(voice="PAS")
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and type(back) is Analysis

@@ -1,7 +1,10 @@
 import inspect
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -150,6 +153,48 @@ def test_read_rejects_short_row(tmp_path):
     path.write_text("only\tthree\tcolumns\n", encoding="utf-8")
     with pytest.raises(ArabverbError):
         pipeline.read_lexicon(path.as_posix())
+
+
+def test_read_shares_the_strings_of_each_entry(tmp_path, sample_forms):
+    path = tmp_path / "inflected.tsv"
+    pipeline.write_lexicon(sample_forms, path.as_posix())
+    back = pipeline.read_lexicon(path.as_posix())
+    for start in range(0, len(back), pipeline.FORMS_PER_LEMMA):
+        entry = back[start:start + pipeline.FORMS_PER_LEMMA]
+        first = entry[0]
+        assert all(f.lemma is first.lemma and f.root is first.root and f.code is first.code
+                   for f in entry)
+
+
+def test_read_skips_comments_and_blanks_across_line_ends(tmp_path, sample_forms):
+    path = tmp_path / "inflected.tsv"
+    pipeline.write_lexicon(sample_forms[:3] + sample_forms[200:202], path.as_posix())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2:2] = ["", "# a comment", ""]
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))  # CRLF, no final newline
+    back = pipeline.read_lexicon(path.as_posix())
+    assert back == sorted(sample_forms[:3] + sample_forms[200:202], key=pipeline.InflectedForm.sort_key)
+
+
+def test_read_names_the_line_of_a_short_row(tmp_path, sample_forms):
+    path = tmp_path / "bad.tsv"
+    pipeline.write_lexicon(sample_forms[:4], path.as_posix())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2:2] = ["# a comment", ""]
+    lines[5] = lines[5].rsplit("\t", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArabverbError, match="^line 6: expected 8 columns, got 7$"):
+        pipeline.read_lexicon(path.as_posix())
+
+
+def test_import_leaves_out_multiprocessing_and_typing():
+    # -S: without site, whose own imports would hide what arabverb imports.
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import arabverb; "
+            "print(sorted({'multiprocessing', 'typing'} & set(sys.modules)))" % src)
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_deterministic_output(tmp_path, sample_entries):
