@@ -111,7 +111,7 @@ def inflect_verb(index, lemma):
     query = _to_query(lemma)
     tables = index.by_lemma.get(query)
     if not tables:
-        raise LemmaNotFound(lemma)
+        raise LemmaNotFound("lemma %s is not in the lexicon" % lemma)
     out = {}
     for code, rows in sorted(tables.items()):
         out[code] = [(cell, surface) for _, cell, surface in sorted(rows)]

@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import analyzer, evaluate, pipeline, rules
-from .errors import ArabverbError
+from .errors import ArabverbError, NoEntries
 from .lexicon import load_lexicon
 from .translit import to_script
 
@@ -26,25 +26,31 @@ def _positive_int(text):
     return int(text)
 
 
-def _load_entries(path, strict=False):
-    report = load_lexicon(path, strict=strict)
-    for lineno, message in report.diagnostics:
+def _generate(path, ruleset=None, workers=1, strict=False):
+    """(forms, stats) of the lemma lexicon at ``path``, each rejected line
+    and failed entry printed to stderr; NoEntries if no entry generated."""
+    try:
+        report = load_lexicon(path)
+    except NoEntries as exc:
+        _print_diagnostics(path, exc.diagnostics)
+        raise
+    _print_diagnostics(path, report.diagnostics)
+    forms, stats = pipeline.generate_all(report.entries, ruleset, workers, strict)
+    for failure in stats.failures:
+        print(failure, file=sys.stderr)
+    if not stats.lemma_count:
+        raise NoEntries("no entry of %s generated" % path)
+    return forms, stats
+
+
+def _print_diagnostics(path, diagnostics):
+    for lineno, message in diagnostics:
         print("%s:%d: %s" % (path, lineno, message), file=sys.stderr)
-    return report.entries
-
-
-def _build_index(path):
-    entries = _load_entries(path)
-    forms, _stats = pipeline.generate_all(entries)
-    return analyzer.FormIndex(forms)
 
 
 def cmd_generate(args):
     ruleset = rules.load_rules(args.rules) if args.rules else None
-    entries = _load_entries(args.lexicon, strict=args.strict)
-    forms, stats = pipeline.generate_all(entries, ruleset=ruleset, workers=args.workers)
-    for failure in stats.failures:
-        print(str(failure), file=sys.stderr)
+    forms, stats = _generate(args.lexicon, ruleset, args.workers, args.strict)
     pipeline.write_lexicon(forms, args.out)
     if args.stats:
         pipeline.write_stats(stats, args.stats)
@@ -53,7 +59,7 @@ def cmd_generate(args):
 
 
 def cmd_inflect(args):
-    index = _build_index(args.lexicon)
+    index = analyzer.FormIndex(_generate(args.lexicon)[0])
     tables = analyzer.inflect_verb(index, args.lemma)
     for code, rows in tables.items():
         print("# code %s" % code)
@@ -66,7 +72,7 @@ def cmd_inflect(args):
 
 
 def cmd_derive(args):
-    index = _build_index(args.lexicon)
+    index = analyzer.FormIndex(_generate(args.lexicon)[0])
     pairs = analyzer.derive_root(index, args.root)
     for lemma, label in pairs:
         print("%s\t%s\t%s" % (lemma, to_script(lemma), label))
@@ -74,7 +80,7 @@ def cmd_derive(args):
 
 
 def cmd_analyze(args):
-    index = _build_index(args.lexicon)
+    index = analyzer.FormIndex(_generate(args.lexicon)[0])
     hits = analyzer.analyze(index, args.form)
     for a in hits[: args.max]:
         print("%s\t%s\t%s\t%s\t%s\t%s\t%s" % (
@@ -92,8 +98,7 @@ def cmd_evaluate(args):
 
 
 def cmd_stats(args):
-    entries = _load_entries(args.lexicon)
-    forms, stats = pipeline.generate_all(entries)
+    _forms, stats = _generate(args.lexicon)
     for key, value in stats.as_rows():
         print("%s\t%s" % (key, value))
     return 0

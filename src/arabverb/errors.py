@@ -33,7 +33,14 @@ class BadLexicon(ArabverbError):
 
 
 class NoEntries(BadLexicon):
-    pass
+    """No valid entry; ``diagnostics`` holds (lineno, message) per bad line."""
+
+    def __init__(self, message, diagnostics=()):
+        self.diagnostics = diagnostics
+        super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (str(self), self.diagnostics)
 
 
 class OpOutOfRange(ArabverbError):

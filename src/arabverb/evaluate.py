@@ -52,13 +52,15 @@ def load_normalized(path):
 def load_exclusions(path):
     keys = set()
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) >= 4:
-                keys.add(tuple(fields[:4]))
+            if len(fields) < 4:
+                raise BadLexicon("%s line %d: expected at least 4 columns, got %d"
+                                 % (path, lineno, len(fields)))
+            keys.add(tuple(fields[:4]))
     return keys
 
 

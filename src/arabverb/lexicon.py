@@ -101,7 +101,6 @@ class LexiconEntry:
     root: str  # 3-4 radical symbols
     code: MorphCode
     gloss: str = ""
-    line: int = 0
 
     def key(self):
         return (self.lemma, str(self.code))
@@ -181,12 +180,11 @@ class LoadReport:
     diagnostics: list = field(default_factory=list)  # (lineno, message)
 
 
-def load_lexicon(path, strict=False):
+def load_lexicon(path):
     """Load a lemma lexicon TSV: lemma-arabic, root, code, gloss.
 
     Bad lines are reported, not fatal; the load fails only when no
-    valid entry remains.  With strict=True each entry is regenerated
-    from (root, code) and must reproduce its lemma exactly.
+    valid entry remains, with NoEntries carrying the reasons per line.
     """
     report = LoadReport()
     seen = set()
@@ -211,31 +209,12 @@ def load_lexicon(path, strict=False):
                 report.diagnostics.append((lineno, str(exc)))
                 continue
             gloss = fields[3].strip() if len(fields) > 3 else ""
-            entry = LexiconEntry(lemma=lemma, root=root, code=code, gloss=gloss, line=lineno)
+            entry = LexiconEntry(lemma=lemma, root=root, code=code, gloss=gloss)
             if entry.key() in seen:
                 report.diagnostics.append((lineno, "duplicate (lemma, code) pair"))
                 continue
             seen.add(entry.key())
             report.entries.append(entry)
     if not report.entries:
-        raise NoEntries("no valid entries in %s" % path)
-    if strict:
-        from .pipeline import regenerate_lemma  # deferred to avoid a cycle
-
-        kept = []
-        for entry in report.entries:
-            try:
-                regenerated = regenerate_lemma(entry)
-            except ArabverbError as exc:
-                report.diagnostics.append((entry.line, str(exc)))
-                continue
-            if regenerated != entry.lemma:
-                report.diagnostics.append(
-                    (entry.line, "lemma %s does not regenerate (got %s)" % (entry.lemma, regenerated))
-                )
-            else:
-                kept.append(entry)
-        report.entries = kept
-        if not report.entries:
-            raise NoEntries("no entry survived strict validation in %s" % path)
+        raise NoEntries("no valid entries in %s" % path, report.diagnostics)
     return report

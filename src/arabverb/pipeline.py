@@ -11,7 +11,7 @@ from itertools import repeat
 
 from . import rules
 from .alphabet import ALPHABET, CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
-from .errors import ArabverbError, EntryFailed
+from .errors import ArabverbError, BadLexicon, EntryFailed
 from .inflect import (CELLS, CELL_ORDER, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX,
                       PERF_SUFFIX, Cell, inflect)
 from .lexicon import CODEBOOK, resolve_class
@@ -80,12 +80,6 @@ def generate_entry(entry, ruleset=None, hits=None):
                 for form, cell in zip(underlying, CELLS)]
     except ArabverbError as exc:
         raise EntryFailed(entry.lemma or entry.root, type(exc).__name__, exc)
-
-
-def regenerate_lemma(entry):
-    """The 3SM perfective active surface of (root, code)."""
-    stems = build_stems(entry)
-    return rules.default_rules().apply(inflect(stems, Cell("3SM", "PERF", "ACT")))
 
 
 def _expand_entry(entry, ruleset):
@@ -184,14 +178,15 @@ def _expand_others(first, result, others, ruleset):
     return out
 
 
-def generate_all(entries, ruleset=None, workers=1):
+def generate_all(entries, ruleset=None, workers=1, strict=False):
     """Expand a lexicon; per-entry failures are collected, not fatal.
 
     Returns (forms, stats) in input order.  Only the first entry of each
     (code, stand-in root) is expanded; the others of that key are renamed
     from it (see special_consonants).  With workers > 1 those first
     entries are expanded in a process pool; the output is identical to a
-    serial run.
+    serial run.  With strict=True an entry whose 3SM perfective active
+    surface (CELLS[0]) is not its lemma fails as well.
     """
     entries = list(entries)
     free = stand_ins(ruleset if ruleset is not None else rules.default_rules())
@@ -222,6 +217,10 @@ def generate_all(entries, ruleset=None, workers=1):
             stats.failures.append(result)
             continue
         entry_forms, hits = result
+        if strict and entry_forms[0].surface != entry.lemma:
+            stats.failures.append(EntryFailed(entry.lemma, "BadLexicon", BadLexicon(
+                "lemma %s does not regenerate (got %s)" % (entry.lemma, entry_forms[0].surface))))
+            continue
         forms.extend(entry_forms)
         code = str(entry.code)
         if code not in labels:

@@ -89,7 +89,7 @@ TABLE1_LEMMAS = [
 
 def _lemma(root, code):
     entry = LexiconEntry(lemma="", root=root, code=parse_code(code))
-    return pipeline.regenerate_lemma(entry)
+    return pipeline.generate_entry(entry)[0].surface
 
 
 def test_criterion_1_table2_reproduction():

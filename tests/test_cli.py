@@ -23,8 +23,8 @@ def test_generate_and_stats(tmp_path, capsys):
     assert "forms\t2616" in stats.read_text(encoding="utf-8")
 
 
-# --strict drops the entry at load time; a plain run drops it at expansion.
-@pytest.mark.parametrize("extra, reported", [(["--strict"], "lex.tsv:2: "),
+# With or without --strict, in a pool or not, the entry fails at expansion.
+@pytest.mark.parametrize("extra, reported", [(["--strict"], "failed at OpOutOfRange"),
                                              (["--workers", "2"], "failed at OpOutOfRange")])
 def test_generate_reports_entry_that_cannot_generate(tmp_path, capsys, extra, reported):
     lexicon = tmp_path / "lex.tsv"
@@ -48,11 +48,17 @@ def test_missing_input_file_is_domain_error(tmp_path, capsys, missing):
     assert err.startswith("error: ") and "missing.tsv" in err
 
 
-def test_generate_rules_with_workers(tmp_path):
+def _rules_without(tmp_path, rule_id):
+    """A rule file of the bundled cascade without rule ``rule_id``."""
     with open(os.path.join(DATA, "surface_rules.tsv"), encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("o05\t")]
+        lines = [line for line in fh if not line.startswith(rule_id + "\t")]
     rules = tmp_path / "rules.tsv"
     rules.write_text("".join(lines), encoding="utf-8")
+    return rules
+
+
+def test_generate_rules_with_workers(tmp_path):
+    rules = _rules_without(tmp_path, "o05")
     outputs = {}
     for name, extra in (("default", []), ("serial", ["--rules", rules.as_posix()]),
                         ("parallel", ["--rules", rules.as_posix(), "--workers", "2"])):
@@ -60,6 +66,23 @@ def test_generate_rules_with_workers(tmp_path):
         assert main(["generate", "--lexicon", SAMPLE_LEXICON, "--out", out.as_posix()] + extra) == 0
         outputs[name] = out.read_bytes()
     assert outputs["parallel"] == outputs["serial"] != outputs["default"]
+
+
+# Without p22 (prosthetic alif) the 11 lemmas that begin with Ai no longer
+# regenerate: --strict checks them under the rules of the run.
+def test_strict_runs_under_the_rules_of_the_run(tmp_path, capsys):
+    rules = _rules_without(tmp_path, "p22")
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / ("out%s.tsv" % workers)
+        rc = main(["generate", "--lexicon", SAMPLE_LEXICON, "--rules", rules.as_posix(),
+                   "--strict", "--workers", workers, "--out", out.as_posix()])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "13 lemmas -> 1417 forms" in captured.out
+        assert len(captured.err.splitlines()) == captured.err.count("does not regenerate") == 11
+        outputs.append((out.read_bytes(), captured.err))
+    assert outputs[0] == outputs[1]
 
 
 # The rule names a second capture of a one-capture pattern.  Before load_rules
@@ -93,7 +116,48 @@ def test_inflect_lemma(capsys):
 def test_inflect_unknown_lemma_is_domain_error(capsys):
     rc = main(["inflect", "--lemma", "زَحْلَقَ"])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: lemma زَحْلَقَ is not in the lexicon\n"
+
+
+GENERATING_COMMANDS = {
+    "generate": ["generate"],  # and --out
+    "stats": ["stats"],
+    "analyze": ["analyze", "--form", "كتب"],
+    "inflect": ["inflect", "--lemma", "كَتَبَ"],
+    "derive": ["derive", "--root", "ktb"],
+}
+
+
+def _run(command, tmp_path, text):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text(text, encoding="utf-8")
+    argv = GENERATING_COMMANDS[command] + ["--lexicon", lexicon.as_posix()]
+    if command == "generate":
+        argv += ["--out", (tmp_path / "out.tsv").as_posix()]
+    return main(argv)
+
+
+@pytest.mark.parametrize("command", GENERATING_COMMANDS)
+def test_every_generating_command_reports_failed_entries(tmp_path, capsys, command):
+    assert _run(command, tmp_path, QI_ON_THREE_RADICALS) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "entry kataba failed at OpOutOfRange" in err[0]
+
+
+# No valid line, or no valid entry that generates: the reasons, then the error.
+@pytest.mark.parametrize("text, reason", [
+    ("كَتَبَ\tktb\t09L0003\n", "lex.tsv:1: digit 2 of '09L0003' out of range"),
+    (QI_ON_THREE_RADICALS.splitlines(True)[1], "entry kataba failed at OpOutOfRange"),
+], ids=["no-valid-line", "no-entry-generates"])
+@pytest.mark.parametrize("command", GENERATING_COMMANDS)
+def test_lexicon_with_nothing_to_generate_is_domain_error(tmp_path, capsys, command, text, reason):
+    assert _run(command, tmp_path, text) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 2 and reason in err[0]
+    assert err[1].startswith("error: ") and "lex.tsv" in err[1]
+    assert "Traceback" not in captured.err and not captured.out
+    assert not (tmp_path / "out.tsv").exists()
 
 
 def test_derive_root(capsys):

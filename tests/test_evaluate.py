@@ -95,3 +95,18 @@ def test_load_normalized_rejects_bad_schema(tmp_path):
     path.write_text("a\tb\tc\n", encoding="utf-8")
     with pytest.raises(BadLexicon):
         load_normalized(path.as_posix())
+
+
+def test_evaluate_files_reads_exclusions(tmp_path, sample_forms):
+    rows = forms_to_normalized(sample_forms)[:50]
+    ref = tmp_path / "ref.tsv"
+    ref.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    exclude = tmp_path / "exclude.tsv"
+    exclude.write_text("# lemma tag paradigm voice [note]\n" + "\t".join(rows[0][:4]) + "\tnote\n",
+                       encoding="utf-8")
+    report, _diff = evaluate_files(ref.as_posix(), ref.as_posix(), exclude.as_posix())
+    assert report.excluded == 1
+    assert report.correct == len(set(rows)) - 1
+    exclude.write_text("\t".join(rows[0][:3]) + "\n", encoding="utf-8")
+    with pytest.raises(BadLexicon, match="exclude.tsv line 1: expected at least 4 columns, got 3"):
+        evaluate_files(ref.as_posix(), ref.as_posix(), exclude.as_posix())

@@ -46,6 +46,7 @@ def test_illegal_cells():
 
 def test_cell_inventory():
     assert len(CELLS) == 109
+    assert CELLS[0] == Cell("3SM", "PERF", "ACT")  # the lemma cell that strict generation checks
     impv = [c for c in CELLS if c.paradigm == "IMPV"]
     assert len(impv) == 5
     assert all(c.voice == "ACT" and c.tag.startswith("2") for c in impv)

@@ -2,6 +2,7 @@ import pytest
 
 from arabverb.errors import BadCode, NoEntries, UnknownClass
 from arabverb.lexicon import _LABELS, CODEBOOK, load_lexicon, parse_code, parse_root, resolve_class
+from arabverb.pipeline import generate_all
 from arabverb.stems import merge
 
 
@@ -159,12 +160,12 @@ def test_same_lemma_different_codes_allowed(tmp_path):
     assert len(report.entries) == 2
 
 
-def test_strict_mode_on_sample():
-    from conftest import SAMPLE_LEXICON
-
-    report = load_lexicon(SAMPLE_LEXICON, strict=True)
-    assert len(report.entries) == 24
-    assert not report.diagnostics
+# generate_all(strict=True) checks that each lemma regenerates from its
+# (root, code), under the rule set of the run.
+def test_strict_mode_on_sample(sample_entries):
+    _forms, stats = generate_all(sample_entries, strict=True)
+    assert stats.lemma_count == 24
+    assert not stats.failures
 
 
 def test_strict_mode_rejects_wrong_lemma(tmp_path):
@@ -175,9 +176,10 @@ def test_strict_mode_rejects_wrong_lemma(tmp_path):
         "قَتَبَ\tktb\t00L0303\twrong lemma for kabura-class\n",
         encoding="utf-8",
     )
-    report = load_lexicon(str(path), strict=True)
-    assert len(report.entries) == 2
-    assert len(report.diagnostics) == 1
+    _forms, stats = generate_all(load_lexicon(str(path)).entries, strict=True)
+    assert stats.lemma_count == 2
+    assert [(f.entry, f.stage, str(f.cause)) for f in stats.failures] == [
+        ("qataba", "BadLexicon", "lemma qataba does not regenerate (got katuba)")]
 
 
 def test_strict_mode_diagnoses_entry_that_cannot_generate(tmp_path):
@@ -187,14 +189,13 @@ def test_strict_mode_diagnoses_entry_that_cannot_generate(tmp_path):
         "كَتَبَ\tktb\t00H0000\tQI on three radicals\n",
         encoding="utf-8",
     )
-    report = load_lexicon(str(path), strict=True)
-    assert len(report.entries) == 1
-    assert [line for line, _message in report.diagnostics] == [2]
-    assert "4-radical root" in report.diagnostics[0][1]
+    _forms, stats = generate_all(load_lexicon(str(path)).entries, strict=True)
+    assert stats.lemma_count == 1
+    assert [f.stage for f in stats.failures] == ["OpOutOfRange"]
+    assert "4-radical root" in str(stats.failures[0])
 
 
 def test_gold_lexicon_strict(gold_entries):
-    from conftest import GOLD_LEXICON
-
-    report = load_lexicon(GOLD_LEXICON, strict=True)
-    assert len(report.entries) == len(gold_entries)
+    _forms, stats = generate_all(gold_entries, strict=True)
+    assert stats.lemma_count == len(gold_entries)
+    assert not stats.failures

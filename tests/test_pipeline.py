@@ -55,6 +55,7 @@ CUSTOM_INIT_ERRORS = [
     errors.UnknownCharacter("\u2663", 2),
     errors.StringTooLong(9, 7),
     errors.EntryFailed("ktb", "OpOutOfRange", errors.OpOutOfRange("pattern QI needs a 4-radical root")),
+    errors.NoEntries("no valid entries in lex.tsv", [(1, "digit 2 of '09L0003' out of range")]),
 ]
 
 
@@ -214,8 +215,27 @@ def test_parallel_equals_serial(tmp_path, sample_entries):
 
 
 def test_regenerate_lemma_matches_lexicon(sample_entries, gold_entries):
-    for entry in list(sample_entries) + list(gold_entries):
-        assert pipeline.regenerate_lemma(entry) == entry.lemma
+    entries = list(sample_entries) + list(gold_entries)
+    _forms, stats = pipeline.generate_all(entries, strict=True)
+    assert stats.lemma_count == len(entries)
+    assert not stats.failures
+
+
+# fçl and Hrk have the same stand-in root, so the cache expands fçl and
+# renames its forms for Hrk; the strict check still reads each entry's own.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_strict_fails_only_the_entry_with_the_wrong_lemma(ruleset, workers):
+    code = parse_code("00L0003")
+    wrong = LexiconEntry(lemma="kataba", root="fçl", code=code)
+    right = LexiconEntry(lemma="Haraka", root="Hrk", code=code)
+    free = pipeline.stand_ins(ruleset)
+    assert pipeline.stand_in_root(wrong.root, free) == pipeline.stand_in_root(right.root, free)
+    loose, _stats = pipeline.generate_all([wrong, right], workers=workers)
+    forms, stats = pipeline.generate_all([wrong, right], workers=workers, strict=True)
+    assert [(f.entry, f.stage, str(f.cause)) for f in stats.failures] == [
+        ("kataba", "BadLexicon", "lemma kataba does not regenerate (got façala)")]
+    assert forms == loose[109:]
+    assert forms[0].surface == "Haraka"
 
 
 def test_surface_arabic_matches_surface(sample_forms):
