@@ -74,11 +74,16 @@ class LemmaNotFound(ArabverbError):
 
 
 class EntryFailed(ArabverbError):
-    def __init__(self, entry, stage, cause):
+    """Entry ``entry`` (its lemma, or its root if it has none) failed at
+    ``stage``; ``root`` and ``code`` tell homographs apart."""
+
+    def __init__(self, entry, stage, cause, root, code):
         self.entry = entry
         self.stage = stage
         self.cause = cause
-        super().__init__("entry %s failed at %s: %s" % (entry, stage, cause))
+        self.root = root
+        self.code = code
+        super().__init__("entry %s failed at %s: %s; root %s, code %s" % (entry, stage, cause, root, code))
 
     def __reduce__(self):
-        return type(self), (self.entry, self.stage, self.cause)
+        return type(self), (self.entry, self.stage, self.cause, self.root, self.code)

@@ -56,12 +56,17 @@ class GenStats:
         return rows
 
 
+def _failed(entry, exc):
+    return EntryFailed(entry.lemma or entry.root, type(exc).__name__, exc, entry.root, str(entry.code))
+
+
 def generate_entry(entry, ruleset=None, hits=None):
     """All 109 inflected forms of one entry.
 
     Cells that share an underlying form (2SM and 3SF imperfective, for
     example) share its cascade: each distinct form is cascaded once, and
-    its rule hits count once for every cell that produced it.
+    its rule hits count once for every cell that produced it.  This is the
+    reference that generate_all, with its caches, must equal.
     """
     rs = ruleset if ruleset is not None else rules.default_rules()
     try:
@@ -79,14 +84,11 @@ def generate_entry(entry, ruleset=None, hits=None):
         return [InflectedForm(*done[form], lemma, root, code, cell)
                 for form, cell in zip(underlying, CELLS)]
     except ArabverbError as exc:
-        raise EntryFailed(entry.lemma or entry.root, type(exc).__name__, exc)
+        raise _failed(entry, exc)
 
 
 def _expand_entry(entry, ruleset):
-    """One entry's (forms, rule hits), or its EntryFailed, as data.
-
-    Module-level so that a process pool can send it to its workers.
-    """
+    """One entry's (forms, rule hits), or its EntryFailed, as data."""
     hits = {}
     try:
         return generate_entry(entry, ruleset, hits), hits
@@ -105,14 +107,13 @@ def _expand_entry(entry, ruleset):
 def special_consonants(ruleset):
     """The consonants that generation under ``ruleset`` treats by identity.
 
-    Those named by a rule, an affix of the chart, a codebook op or the
-    VIII assimilation table, plus the glides and hamza letters that the
-    rule classes G, Q and K and the stem repairs single out.  An affix
-    letter stays special because back-references compare radicals with it.
+    Those that the cascade can tell apart (all but ``ruleset.free``), those
+    named by an affix of the chart, a codebook op or the VIII assimilation
+    table, and the glides and hamza letters that the stem repairs single
+    out.  An affix letter stays special because back-references compare
+    radicals with it.
     """
-    named = set(SEMICONSONANTS | HAMZA_LETTERS)
-    for rule in ruleset.rules:
-        named.update(rule.pattern, rule.replacement, rule.left_ctx, rule.right_ctx)
+    named = set((CONSONANTS - ruleset.free) | SEMICONSONANTS | HAMZA_LETTERS)
     for table in (PERF_SUFFIX, IMPF_PREFIX, IMPV_SUFFIX, *MOOD_SUFFIX.values()):
         for affix in table.values():
             named.update(affix)
@@ -178,23 +179,99 @@ def _expand_others(first, result, others, ruleset):
     return out
 
 
+# Cascade memo.  The cascade reads the consonants of ``RuleSet.free`` only
+# as members of a class, so it commutes with any permutation of them.  Each
+# entry renames its free radicals to the first stand-ins, which no affix or
+# codebook op writes, so that pattern letters such as m and s stay in
+# place; entries of one code whose forms then coincide share one cascade
+# per renamed form.  The memo lives for one code: one memo for all codes
+# holds many more forms for few more hits.
+
+
+def _renaming(root, free, targets):
+    """Byte tables of a permutation of ``free`` and of its inverse, or None
+    if it changes nothing.  It takes the free radicals of ``root``, in
+    order of first appearance, to the first ``targets``, and those of the
+    targets that are not radicals to the radicals that are not targets."""
+    radicals = list(dict.fromkeys(r for r in root if r in free))
+    chosen = list(targets[:len(radicals)])
+    sources = radicals + [t for t in chosen if t not in radicals]
+    images = chosen + [r for r in radicals if r not in chosen]
+    if sources == images:
+        return None
+    forward, backward = bytearray(_UNCHANGED), bytearray(_UNCHANGED)
+    for source, image in zip(sources, images):
+        forward[ord(source)] = ord(image)
+        backward[ord(image)] = ord(source)
+    return forward, backward
+
+
+def _translate(strings, table):
+    """``strings`` renamed by the byte table ``table``, in one batch.  The
+    internal alphabet is Latin-1, so each symbol is its own byte."""
+    return "\n".join(strings).encode("latin-1").translate(table).decode("latin-1").split("\n")
+
+
+def _expand_code(firsts, ruleset, targets):
+    """The (forms, rule hits) or EntryFailed of each of ``firsts``, entries
+    of one code, cascading each distinct renamed underlying form once.
+
+    ``targets`` orders ``RuleSet.free``, stand-ins first.  Module-level so
+    that a process pool can send it to its workers.
+    """
+    rs = ruleset if ruleset is not None else rules.default_rules()
+    memo = {}  # renamed underlying form -> (renamed surface, rule hits)
+    out = []
+    for entry in firsts:
+        try:
+            stems = build_stems(entry)
+            underlying = [inflect(stems, cell) for cell in CELLS]
+            counts = Counter(underlying)
+            renaming = _renaming(entry.root, rs.free, targets)
+            keys = counts if renaming is None else _translate(counts, renaming[0])
+            hits, surfaces = {}, []
+            for key, cells in zip(keys, counts.values()):
+                got = memo.get(key)
+                if got is None:
+                    own = {}
+                    got = memo[key] = rs.apply(key, own), own
+                surfaces.append(got[0])
+                for rule_id, n in got[1].items():
+                    hits[rule_id] = hits.get(rule_id, 0) + cells * n
+            if renaming is not None:
+                surfaces = _translate(surfaces, renaming[1])
+            done = {form: (surface, to_script(surface)) for form, surface in zip(counts, surfaces)}
+            lemma, root, code = entry.lemma, entry.root, str(entry.code)
+            out.append(([InflectedForm(*done[form], lemma, root, code, cell)
+                         for form, cell in zip(underlying, CELLS)], hits))
+        except ArabverbError as exc:
+            out.append(_failed(entry, exc))
+        except UnicodeEncodeError:  # a symbol beyond Latin-1: no renaming
+            out.append(_expand_entry(entry, rs))
+    return out
+
+
 def generate_all(entries, ruleset=None, workers=1, strict=False):
     """Expand a lexicon; per-entry failures are collected, not fatal.
 
     Returns (forms, stats) in input order.  Only the first entry of each
     (code, stand-in root) is expanded; the others of that key are renamed
-    from it (see special_consonants).  With workers > 1 those first
-    entries are expanded in a process pool; the output is identical to a
-    serial run.  With strict=True an entry whose 3SM perfective active
+    from it (see special_consonants).  The first entries of one code share
+    a cascade memo (see _expand_code).  With workers > 1 the codes are
+    expanded in a process pool, one task each; the output is identical to
+    a serial run.  With strict=True an entry whose 3SM perfective active
     surface (CELLS[0]) is not its lemma fails as well.
     """
     entries = list(entries)
-    free = stand_ins(ruleset if ruleset is not None else rules.default_rules())
-    keys = {}  # (code, stand-in root) -> indices of its entries
+    rs = ruleset if ruleset is not None else rules.default_rules()
+    free = stand_ins(rs)
+    targets = free + "".join(sorted(rs.free.difference(free)))
+    codes = {}  # code -> {stand-in root: indices of its entries}
     for i, entry in enumerate(entries):
-        keys.setdefault((str(entry.code), stand_in_root(entry.root, free)), []).append(i)
-    firsts = [entries[members[0]] for members in keys.values()]
-    expand = functools.partial(_expand_entry, ruleset=ruleset)
+        keys = codes.setdefault(str(entry.code), {})
+        keys.setdefault(stand_in_root(entry.root, free), []).append(i)
+    firsts = [[entries[members[0]] for members in keys.values()] for keys in codes.values()]
+    expand = functools.partial(_expand_code, ruleset=ruleset, targets=targets)
     if workers > 1:
         import multiprocessing  # only a pool needs it; every import of arabverb would pay for it
 
@@ -203,12 +280,13 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
     else:
         expanded = map(expand, firsts)
     results = [None] * len(entries)
-    for first, (i, *rest), result in zip(firsts, keys.values(), expanded):
-        results[i] = result
-        if rest:
-            others = _expand_others(first, result, [entries[j] for j in rest], ruleset)
-            for j, other in zip(rest, others):
-                results[j] = other
+    for keys, code_firsts, code_results in zip(codes.values(), firsts, expanded):
+        for (i, *rest), first, result in zip(keys.values(), code_firsts, code_results):
+            results[i] = result
+            if rest:
+                others = _expand_others(first, result, [entries[j] for j in rest], ruleset)
+                for j, other in zip(rest, others):
+                    results[j] = other
     stats = GenStats()
     forms = []
     labels = {}
@@ -218,7 +296,7 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
             continue
         entry_forms, hits = result
         if strict and entry_forms[0].surface != entry.lemma:
-            stats.failures.append(EntryFailed(entry.lemma, "BadLexicon", BadLexicon(
+            stats.failures.append(_failed(entry, BadLexicon(
                 "lemma %s does not regenerate (got %s)" % (entry.lemma, entry_forms[0].surface))))
             continue
         forms.extend(entry_forms)

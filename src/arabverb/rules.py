@@ -59,6 +59,7 @@ class RewriteRule:
     comment: str = ""
     _rx: object = field(default=None, compare=False, repr=False)
     _needs: frozenset = field(default=frozenset(), compare=False, repr=False)
+    _parts: tuple = field(default=(), compare=False, repr=False)
 
 
 def _ctx_source(ctx, trailing):
@@ -101,10 +102,17 @@ def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment="
             core.append("\\%d" % (int(ch) + 1))  # +1: group 1 is the core
         else:
             core.append(re.escape(ch))
+    parts = []  # runs of literals, and the group number of each capture reference
     for ch in replacement:
-        if ch.isdigit() and ch not in "123456789"[:captures]:
-            raise BadRuleFile("rule %s: replacement %r: digit %s names none of the %d captures of %r"
-                              % (rule_id, replacement, ch, captures, pattern))
+        if ch.isdigit():
+            if ch not in "123456789"[:captures]:
+                raise BadRuleFile("rule %s: replacement %r: digit %s names none of the %d captures of %r"
+                                  % (rule_id, replacement, ch, captures, pattern))
+            parts.append(int(ch) + 1)
+        elif parts and isinstance(parts[-1], str):
+            parts[-1] += ch
+        else:
+            parts.append(ch)
     src = "(?:%s)(%s)(?=%s)" % (
         _ctx_source(left, False),
         "".join(core),
@@ -117,18 +125,13 @@ def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment="
     return RewriteRule(
         id=rule_id, stage=stage, pattern=pattern, replacement=replacement,
         left_ctx=left, right_ctx=right, comment=comment,
-        _rx=re.compile(src), _needs=frozenset(needs),
+        _rx=re.compile(src), _needs=frozenset(needs), _parts=tuple(parts),
     )
 
 
 def _substitute(rule, match):
-    out = []
-    for ch in rule.replacement:
-        if ch.isdigit():
-            out.append(match.group(int(ch) + 1))
-        else:
-            out.append(ch)
-    return "".join(out)
+    group = match.group
+    return "".join([part if part.__class__ is str else group(part) for part in rule._parts])
 
 
 def _rewrite(rule, form, match, hits):
@@ -156,6 +159,11 @@ class RuleSet:
     A plan is the cascade-ordered (index, rule) pairs whose needs a set of
     needed symbols meets.  Plans are made on first use, keyed on the needed
     symbols a form holds, and share their pairs.
+
+    ``free`` is the largest set of consonants that the cascade cannot tell
+    apart: no rule names them, and every class of ``_CLASS_SETS`` holds
+    all of them or none.  So ``apply`` commutes with any permutation p of
+    them, rule hits included: ``apply(p(s)) == p(apply(s))``.
     """
 
     def __init__(self, rules):
@@ -175,6 +183,13 @@ class RuleSet:
         self._pairs = tuple(enumerate(self.rules))
         self._needed = frozenset().union(*(n for r in self.rules for n in r._needs))
         self._plans = {}
+        named = set()
+        for rule in self.rules:
+            named.update(rule.pattern, rule.replacement, rule.left_ctx, rule.right_ctx)
+        alike = {}  # the unnamed consonants by the classes that hold them
+        for ch in sorted(CONSONANTS - named):
+            alike.setdefault(tuple(ch in members for members in _CLASS_SETS.values()), []).append(ch)
+        self.free = frozenset(max(alike.values(), key=len, default=()))
 
     def __len__(self):
         return len(self.rules)

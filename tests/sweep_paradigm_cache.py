@@ -1,15 +1,18 @@
-"""Exhaustive check of the paradigm cache against direct generation.
+"""Exhaustive check of the paradigm cache and the cascade memo against
+direct generation.
 
     python3 tests/sweep_paradigm_cache.py [--quad-roots N] [--seed S]
 
 ``generate_all`` expands the first entry of each (code, stand-in root) and
-renames its radicals for the other entries of that key; ``generate_entry``
-expands every entry itself.  This script compares the two on every bundled
-triliteral code x every root over the special consonants plus two free
-ones (so that keys hold roots that swap the two), and on a seeded sample
-of roots over all consonants for the quadriliteral codes.
-Forms, rule hits, failure messages and the pattern histogram must be
-equal.  It prints the paradigm count, the mismatch count and the wall time,
+renames its radicals for the other entries of that key, and the first
+entries of one code share one cascade per renamed underlying form;
+``generate_entry`` expands every entry itself.  This script compares the
+two on every bundled triliteral code x every root over the special
+consonants plus two free ones (so that keys hold roots that swap the two,
+and roots over m s T d ð þ, free for the cascade alone, share cascades
+across keys), and on a seeded sample of roots over all consonants for the
+quadriliteral codes.  Forms, rule hits, failure messages and the pattern
+histogram must be equal.  It prints the paradigm count, the mismatch count and the wall time,
 and exits 1 on any mismatch.  It takes several minutes, so pytest does not
 collect it (the file name does not start with ``test_``).
 """

@@ -85,6 +85,19 @@ def test_strict_runs_under_the_rules_of_the_run(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+# Two homographs fail: each line names its own root and code.
+def test_failed_homographs_are_told_apart(tmp_path, capsys):
+    rules = _rules_without(tmp_path, "p22")
+    rc = main(["generate", "--lexicon", SAMPLE_LEXICON, "--rules", rules.as_posix(),
+               "--strict", "--out", (tmp_path / "out.tsv").as_posix()])
+    assert rc == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("entry Aif·çan·lala failed at BadLexicon: ")]
+    assert len(lines) == len(set(lines)) == 2
+    assert lines[0].endswith("; root fçl, code 02H2000")
+    assert lines[1].endswith("; root fçll, code 02H0000")
+
+
 # The rule names a second capture of a one-capture pattern.  Before load_rules
 # checked it, the rule file loaded and generation died at its first match.
 @pytest.mark.parametrize("replacement", ["2a", "0"])

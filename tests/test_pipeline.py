@@ -54,7 +54,8 @@ def test_failure_isolation():
 CUSTOM_INIT_ERRORS = [
     errors.UnknownCharacter("\u2663", 2),
     errors.StringTooLong(9, 7),
-    errors.EntryFailed("ktb", "OpOutOfRange", errors.OpOutOfRange("pattern QI needs a 4-radical root")),
+    errors.EntryFailed("kataba", "OpOutOfRange", errors.OpOutOfRange("pattern QI needs a 4-radical root"),
+                       "ktb", "00H0000"),
     errors.NoEntries("no valid entries in lex.tsv", [(1, "digit 2 of '09L0003' out of range")]),
 ]
 
@@ -342,14 +343,7 @@ def test_generate_entry_cascades_each_distinct_form_once(
         monkeypatch, sample_entries, gold_entries, ruleset, custom):
     if custom:
         ruleset = rules.RuleSet(CUSTOM_HEAD + ruleset.rules)
-    applied = []
-    apply = rules.RuleSet.apply
-
-    def counted(self, form, hits=None):
-        applied.append(form)
-        return apply(self, form, hits)
-
-    monkeypatch.setattr(rules.RuleSet, "apply", counted)
+    applied = _count_apply(monkeypatch)
     shared, fired = 0, set()
     for entry in list(sample_entries) + list(gold_entries):
         expected_hits, hits = {}, {}
@@ -409,14 +403,51 @@ def _drawn_entries(codes, openers, letters, seed):
     return entries
 
 
-def _assert_cached_equals_direct(entries, ruleset=None):
-    forms, stats = pipeline.generate_all(entries, ruleset)
+def _count_apply(monkeypatch):
+    """The forms that RuleSet.apply is called on, from now on."""
+    applied = []
+    apply = rules.RuleSet.apply
+
+    def counted(self, form, hits=None):
+        applied.append(form)
+        return apply(self, form, hits)
+
+    monkeypatch.setattr(rules.RuleSet, "apply", counted)
+    return applied
+
+
+def _distinct_forms_per_key(entries, ruleset):
+    """The distinct underlying forms of the first entry of each (code,
+    stand-in root), summed: the cascades generate_all ran before its memo."""
+    free = pipeline.stand_ins(ruleset if ruleset is not None else rules.default_rules())
+    firsts = {}
+    for entry in entries:
+        firsts.setdefault((str(entry.code), pipeline.stand_in_root(entry.root, free)), entry)
+    total = 0
+    for entry in firsts.values():
+        try:
+            stems = build_stems(entry)
+            total += len({inflect(stems, cell) for cell in CELLS})
+        except ArabverbError:
+            pass
+    return total
+
+
+def _assert_cached_equals_direct(monkeypatch, entries, ruleset=None):
+    """generate_all equals generate_entry per entry, and its cascade memo
+    runs no more cascades than the keys have distinct forms.  Returns the
+    forms, the stats and (cascades run, distinct forms of the keys)."""
+    with monkeypatch.context() as patch:
+        applied = _count_apply(patch)
+        forms, stats = pipeline.generate_all(entries, ruleset)
     direct_forms, hits, failures, histogram = _direct(entries, ruleset)
     assert forms == direct_forms
     assert stats.rule_hits == hits
     assert [str(f) for f in stats.failures] == failures
     assert stats.pattern_histogram == histogram
-    return forms, stats
+    cascades = len(applied), _distinct_forms_per_key(entries, ruleset)
+    assert cascades[0] <= cascades[1]
+    return forms, stats, cascades
 
 
 @pytest.fixture(scope="module")
@@ -427,18 +458,54 @@ def drawn_entries(ruleset, sample_entries):
     return _drawn_entries(codes, DEFAULT_SPECIAL, "".join(sorted(CONSONANTS)), 11)
 
 
-def test_cache_equals_direct_generation(drawn_entries):
-    forms, stats = _assert_cached_equals_direct(drawn_entries)
+def test_cache_equals_direct_generation(monkeypatch, drawn_entries):
+    forms, stats, (calls, distinct) = _assert_cached_equals_direct(monkeypatch, drawn_entries)
+    assert calls < distinct
     assert len({str(e.code) for e in drawn_entries}) == 24
     assert len(stats.failures) == 3 * 24  # the wrong-length roots
     assert forms
 
 
-def test_cache_equals_direct_under_a_rule_naming_a_free_consonant(ruleset):
+def test_cache_equals_direct_under_a_rule_naming_a_free_consonant(monkeypatch, ruleset):
     custom = rules.RuleSet((rules.make_rule("b01", "phono", "b", "f", left="#"),) + ruleset.rules)
     entries = _drawn_entries([parse_code("00L0003"), parse_code("00H0000")], "bf", "bfktqmw", 3)
-    _forms, stats = _assert_cached_equals_direct(entries, custom)
+    _forms, stats, _cascades = _assert_cached_equals_direct(monkeypatch, entries, custom)
     assert stats.rule_hits["b01"] > 0
+
+
+# m is free for the cascade of the bundled rules but special for the
+# paradigm cache (the affix -tum writes it); a rule naming m takes it out
+# of the cascade's free set as well.
+def test_cache_equals_direct_under_a_rule_naming_m(monkeypatch, ruleset):
+    custom = rules.RuleSet((rules.make_rule("m01", "phono", "ma", "mu", left="#"),) + ruleset.rules)
+    assert "m" in ruleset.free and "m" not in custom.free
+    assert "m" in pipeline.special_consonants(ruleset)
+    entries = _drawn_entries([parse_code("00L0003"), parse_code("10H0000")], "mb", "bkmsqT", 4)
+    _forms, stats, (calls, distinct) = _assert_cached_equals_direct(monkeypatch, entries, custom)
+    assert stats.rule_hits["m01"] > 0
+    assert calls < distinct
+
+
+# Roots over consonants that are free for the cascade but special for the
+# paradigm cache: every root is a key of its own, and the memo shares
+# cascades across keys.
+def test_cascade_memo_shares_across_keys(monkeypatch, ruleset, sample_entries):
+    letters = "Tdmsðþ"
+    assert set(letters) <= ruleset.free & pipeline.special_consonants(ruleset)
+    codes = sorted({e.code for e in sample_entries}, key=str)[::4]
+    entries = _drawn_entries(codes, letters, letters, 5)
+    _forms, _stats, (calls, distinct) = _assert_cached_equals_direct(monkeypatch, entries)
+    assert len(codes) == 6
+    assert calls < distinct / 2
+
+
+# A rule that writes a symbol beyond Latin-1, which the memo cannot rename
+# back: those entries are expanded without it, and fail as they do alone.
+def test_cache_equals_direct_under_a_rule_writing_beyond_latin1(monkeypatch, ruleset):
+    custom = rules.RuleSet(ruleset.rules + (rules.make_rule("k01", "ortho", "k", "\u0643"),))
+    entries = _drawn_entries([parse_code("00L0003")], "kb", "bkmqz", 6)
+    _forms, stats, _cascades = _assert_cached_equals_direct(monkeypatch, entries, custom)
+    assert any("MalformedInternal" in str(f) and "k" in f.root for f in stats.failures)
 
 
 def test_cache_parallel_equals_serial(drawn_entries):

@@ -283,3 +283,57 @@ def test_cascade_equals_reference_under_a_custom_rule_set(underlying_forms):
     fired = _assert_cascade_equals_reference(custom, _random_strings(8, underlying_forms))
     assert set(fired) == {rule.id for rule in CUSTOM_RULES}
     _plan_is_exact(custom)
+
+
+# The cascade memo of generate_all rests on this: the cascade commutes with
+# any permutation of the free consonants, rule hits included.
+
+BUNDLED_FREE = "DHSTXZbdfghjklmqrsxzçðþ"
+
+
+def _count_broken(ruleset, forms, seed, moved=""):
+    """How many seeded strings break apply(p(s)) == p(apply(s)) with equal
+    hits, for a random permutation p of ``ruleset.free`` plus ``moved``."""
+    rng = random.Random(seed)
+    letters = sorted(ruleset.free | set(moved))
+    broken = 0
+    for form in _random_strings(seed, forms, n=1000):
+        images = letters[:]
+        rng.shuffle(images)
+        perm = str.maketrans(dict(zip(letters, images)))
+        hits, renamed_hits = {}, {}
+        surface = ruleset.apply(form, hits)
+        renamed = ruleset.apply(form.translate(perm), renamed_hits)
+        broken += (renamed, renamed_hits) != (surface.translate(perm), hits)
+    return broken
+
+
+def test_free_consonants_of_the_bundled_rules(ruleset):
+    assert "".join(sorted(ruleset.free)) == BUNDLED_FREE
+    named = set()
+    for rule in ruleset.rules:
+        named.update(rule.pattern + rule.replacement + rule.left_ctx + rule.right_ctx)
+    assert not named & ruleset.free
+    assert RuleSet([]).free == ruleset.free | {"t"}  # n stays out: M leaves it out
+
+
+def test_cascade_commutes_with_permuting_the_free_consonants(ruleset, underlying_forms):
+    assert _count_broken(ruleset, underlying_forms, 3) == 0
+    # Not vacuous: moving t, which rules name, breaks the law.
+    assert _count_broken(ruleset, underlying_forms, 4, moved="t") > 0
+
+
+def test_a_named_consonant_leaves_the_free_set(ruleset, underlying_forms):
+    custom = RuleSet((make_rule("b1", "phono", "ba", "m", "", "C"),) + ruleset.rules)
+    assert custom.free == ruleset.free - {"b", "m"}
+    hits = {}
+    custom.apply("baka", hits)
+    assert hits["b1"] == 1
+    assert _count_broken(custom, underlying_forms, 5) == 0
+    assert _count_broken(custom, underlying_forms, 6, moved="b") > 0
+
+
+def test_cascade_commutes_under_a_custom_rule_set(underlying_forms):
+    custom = RuleSet(CUSTOM_RULES)
+    assert custom.free == RuleSet([]).free - {"t"}  # d7 names t
+    assert _count_broken(custom, underlying_forms, 9) == 0
