@@ -1,19 +1,20 @@
 """Lexicon-scale generation through the full stem/inflection/cascade
 flow, once per code and radical signature, with stats and a persisted
-TSV lexicon.
+TSV lexicon.  Generated forms are kept as one Paradigm record per entry.
 """
 
 import codecs
 import functools
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, groupby, repeat
+from operator import attrgetter
 
 from . import rules
 from .alphabet import ALPHABET, CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
 from .errors import ArabverbError, BadLexicon, EntryFailed
-from .inflect import (CELLS, CELL_ORDER, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX,
-                      PERF_SUFFIX, Cell, inflect)
+from .inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, Cell, inflect
 from .lexicon import CODEBOOK, resolve_class
 from .stems import VIII_ASSIMILATION, build_stems
 from .translit import SCRIPT, to_script
@@ -30,8 +31,45 @@ class InflectedForm:
     code: str
     cell: Cell
 
-    def sort_key(self):
-        return (self.lemma, self.code, CELL_ORDER[self.cell])
+
+class Paradigm(namedtuple("Paradigm", "lemma root code surfaces scripts")):
+    """The 109 forms of one entry: its surfaces and their scripts, two
+    tuples in CELLS order, under the lemma, root and code they share."""
+
+    __slots__ = ()
+
+
+class Forms(Sequence):
+    """A read-only sequence of the forms of ``paradigms``: an InflectedForm
+    for each cell of each paradigm, paradigm by paradigm, in CELLS order.
+    Equal when the paradigms are equal."""
+
+    __slots__ = ("paradigms",)
+
+    def __init__(self, paradigms):
+        self.paradigms = paradigms
+
+    def __len__(self):
+        return FORMS_PER_LEMMA * len(self.paradigms)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        # Floor division keeps a negative index negative, and the list
+        # raises IndexError for an index out of range.
+        q, i = divmod(index, FORMS_PER_LEMMA)
+        p = self.paradigms[q]
+        return InflectedForm(p.surfaces[i], p.scripts[i], p.lemma, p.root, p.code, CELLS[i])
+
+    def __iter__(self):
+        for p in self.paradigms:
+            yield from map(InflectedForm, p.surfaces, p.scripts, repeat(p.lemma),
+                           repeat(p.root), repeat(p.code), CELLS)
+
+    def __eq__(self, other):
+        if not isinstance(other, Forms):
+            return NotImplemented
+        return self.paradigms == other.paradigms
 
 
 @dataclass
@@ -88,12 +126,14 @@ def generate_entry(entry, ruleset=None, hits=None):
 
 
 def _expand_entry(entry, ruleset):
-    """One entry's (forms, rule hits), or its EntryFailed, as data."""
+    """One entry's (paradigm, rule hits), or its EntryFailed, as data."""
     hits = {}
     try:
-        return generate_entry(entry, ruleset, hits), hits
+        forms = generate_entry(entry, ruleset, hits)
     except EntryFailed as exc:
         return exc
+    return Paradigm(entry.lemma, entry.root, str(entry.code), tuple(f.surface for f in forms),
+                    tuple(f.surface_arabic for f in forms)), hits
 
 
 # Paradigm cache.  Stems, chart and cascade read most radicals only as
@@ -154,7 +194,7 @@ def _expand_others(first, result, others, ruleset):
     """The results of ``others`` from ``result``, the expansion of
     ``first``, an entry of the same key.
 
-    Each other entry's forms rename the radicals of ``first`` to its own,
+    Each other entry's paradigm renames the radicals of ``first`` to its own,
     in the surfaces and the scripts alike: to_script maps one symbol at a
     time, and well_formed does not change when one consonant replaces
     another.  If ``first`` failed, each other entry is expanded on its
@@ -162,8 +202,8 @@ def _expand_others(first, result, others, ruleset):
     """
     if isinstance(result, EntryFailed):
         return [_expand_entry(entry, ruleset) for entry in others]
-    forms, hits = result
-    text = "\n".join([f.surface for f in forms] + [f.surface_arabic for f in forms])
+    paradigm, hits = result
+    text = "\n".join(paradigm.surfaces + paradigm.scripts)
     encoded = codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
     out = []
     for entry in others:
@@ -173,9 +213,8 @@ def _expand_others(first, result, others, ruleset):
                 table[_BYTE[old]] = _BYTE[new]
                 table[_BYTE[SCRIPT[old]]] = _BYTE[SCRIPT[new]]
         lines = codecs.charmap_decode(encoded.translate(table), "strict", _BYTE_SYMBOLS)[0].split("\n")
-        out.append((list(map(InflectedForm, lines[:FORMS_PER_LEMMA], lines[FORMS_PER_LEMMA:],
-                             repeat(entry.lemma), repeat(entry.root), repeat(str(entry.code)), CELLS)),
-                    hits))
+        out.append((Paradigm(entry.lemma, entry.root, str(entry.code),
+                             tuple(lines[:FORMS_PER_LEMMA]), tuple(lines[FORMS_PER_LEMMA:])), hits))
     return out
 
 
@@ -213,7 +252,7 @@ def _translate(strings, table):
 
 
 def _expand_code(firsts, ruleset, targets):
-    """The (forms, rule hits) or EntryFailed of each of ``firsts``, entries
+    """The (paradigm, rule hits) or EntryFailed of each of ``firsts``, entries
     of one code, cascading each distinct renamed underlying form once.
 
     ``targets`` orders ``RuleSet.free``, stand-ins first.  Module-level so
@@ -240,10 +279,11 @@ def _expand_code(firsts, ruleset, targets):
                     hits[rule_id] = hits.get(rule_id, 0) + cells * n
             if renaming is not None:
                 surfaces = _translate(surfaces, renaming[1])
-            done = {form: (surface, to_script(surface)) for form, surface in zip(counts, surfaces)}
-            lemma, root, code = entry.lemma, entry.root, str(entry.code)
-            out.append(([InflectedForm(*done[form], lemma, root, code, cell)
-                         for form, cell in zip(underlying, CELLS)], hits))
+            surface_of = dict(zip(counts, surfaces))
+            script_of = {form: to_script(surface) for form, surface in surface_of.items()}
+            out.append((Paradigm(entry.lemma, entry.root, str(entry.code),
+                                 tuple(map(surface_of.__getitem__, underlying)),
+                                 tuple(map(script_of.__getitem__, underlying))), hits))
         except ArabverbError as exc:
             out.append(_failed(entry, exc))
         except UnicodeEncodeError:  # a symbol beyond Latin-1: no renaming
@@ -254,7 +294,8 @@ def _expand_code(firsts, ruleset, targets):
 def generate_all(entries, ruleset=None, workers=1, strict=False):
     """Expand a lexicon; per-entry failures are collected, not fatal.
 
-    Returns (forms, stats) in input order.  Only the first entry of each
+    Returns (forms, stats): forms is a Forms over one Paradigm per entry
+    that generated, in input order.  Only the first entry of each
     (code, stand-in root) is expanded; the others of that key are renamed
     from it (see special_consonants).  The first entries of one code share
     a cascade memo (see _expand_code).  With workers > 1 the codes are
@@ -288,23 +329,23 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
                 for j, other in zip(rest, others):
                     results[j] = other
     stats = GenStats()
-    forms = []
+    paradigms = []
     labels = {}
     for entry, result in zip(entries, results):
         if isinstance(result, EntryFailed):
             stats.failures.append(result)
             continue
-        entry_forms, hits = result
-        if strict and entry_forms[0].surface != entry.lemma:
+        paradigm, hits = result
+        if strict and paradigm.surfaces[0] != entry.lemma:
             stats.failures.append(_failed(entry, BadLexicon(
-                "lemma %s does not regenerate (got %s)" % (entry.lemma, entry_forms[0].surface))))
+                "lemma %s does not regenerate (got %s)" % (entry.lemma, paradigm.surfaces[0]))))
             continue
-        forms.extend(entry_forms)
+        paradigms.append(paradigm)
         code = str(entry.code)
         if code not in labels:
             labels[code] = resolve_class(entry.code).label
         _count(stats, labels[code], hits)
-    return forms, stats
+    return Forms(paradigms), stats
 
 
 def _count(stats, label, hits):
@@ -318,16 +359,26 @@ def _count(stats, label, hits):
 HEADER = "# surface_arabic\tsurface\tlemma\troot\tcode\ttag\tparadigm\tvoice"
 
 
+# The last three columns of each cell's row, with the line end.
+_CELL_TAILS = tuple("\t%s\t%s\t%s\n" % (c.tag, c.paradigm, c.voice) for c in CELLS)
+
+
 def write_lexicon(forms, path):
-    """Write the inflected lexicon TSV, sorted by (lemma, code, cell)."""
-    rows = sorted(forms, key=InflectedForm.sort_key)
+    """Write the inflected lexicon TSV of ``forms``, a Forms, sorted by
+    (lemma, code, cell): the paradigms sorted stably by (lemma, code), and
+    the paradigms of one (lemma, code) cell by cell, in input order within
+    a cell, as a stable sort of the forms would give.  Each group is
+    written as it is formatted, so that no string holds the whole file."""
+    by_entry = attrgetter("lemma", "code")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(HEADER + "\n")
-        for f in rows:
-            fh.write("\t".join([
-                f.surface_arabic, f.surface, f.lemma, f.root, f.code,
-                f.cell.tag, f.cell.paradigm, f.cell.voice,
-            ]) + "\n")
+        for _key, group in groupby(sorted(forms.paradigms, key=by_entry), by_entry):
+            # The row pieces of each paradigm, cell by cell; zip(*rows)
+            # interleaves the paradigms of the group within each cell.
+            rows = [zip(p.scripts, repeat("\t"), p.surfaces,
+                        repeat("\t%s\t%s\t%s" % (p.lemma, p.root, p.code)), _CELL_TAILS)
+                    for p in group]
+            fh.write("".join(map("".join, chain.from_iterable(zip(*rows)))))
 
 
 _CELLS = {(c.tag, c.paradigm, c.voice): c for c in CELLS}

@@ -216,7 +216,7 @@ def test_index_equals_the_per_row_build(sample_forms, gold_forms):
     one, two = sample_forms[:109], sample_forms[109:218]
     cases = [
         sample_forms,
-        gold_forms + sample_forms,
+        list(gold_forms) + list(sample_forms),
         shuffled_with_repeats(sample_forms, 1),
         shuffled_with_repeats(gold_forms, 2),
         # an entry's rows come back in a later run that starts with rows

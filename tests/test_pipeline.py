@@ -11,7 +11,7 @@ import pytest
 from arabverb import errors, pipeline, rules
 from arabverb.alphabet import CONSONANTS
 from arabverb.errors import ArabverbError, EntryFailed
-from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, inflect
+from arabverb.inflect import CELL_ORDER, CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, inflect
 from arabverb.lexicon import CODEBOOK, QUADRILITERAL, LexiconEntry, parse_code, resolve_class
 from arabverb.stems import VIII_ASSIMILATION, build_stems
 from arabverb.translit import to_script
@@ -19,6 +19,37 @@ from arabverb.translit import to_script
 
 def test_exact_count_law(sample_forms, sample_entries):
     assert len(sample_forms) == 109 * len(sample_entries)
+
+
+# generate_all returns a Forms: one Paradigm per entry, read as a sequence
+# of InflectedForm views in input order, then CELLS order.  That iteration
+# equals generate_entry per entry is checked with the paradigm cache below.
+
+def test_forms_index_and_slice_as_a_list(sample_forms):
+    listed = list(sample_forms)
+    n = len(listed)
+    assert len(sample_forms) == n == 109 * len(sample_forms.paradigms)
+    for i in (0, 1, 108, 109, 110, n - 1, -1, -109, -110, -n):
+        assert sample_forms[i] == listed[i]
+    for cut in (slice(None), slice(5, 300, 3), slice(-5, None), slice(None, None, -7),
+                slice(10, 2), slice(-n - 5, n + 5, 109)):
+        assert sample_forms[cut] == listed[cut]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            sample_forms[i]
+    assert sample_forms.index(listed[300]) == 300
+    assert list(reversed(sample_forms)) == listed[::-1]
+
+
+def test_forms_equal_when_their_paradigms_are(sample_forms):
+    paradigms = sample_forms.paradigms
+    assert pipeline.Forms(list(paradigms)) == sample_forms
+    assert pipeline.Forms(paradigms[:-1]) != sample_forms
+    changed = paradigms[-1]._replace(surfaces=("x",) + paradigms[-1].surfaces[1:])
+    assert pipeline.Forms(paradigms[:-1] + [changed]) != sample_forms
+    assert sample_forms != list(sample_forms)  # a Forms equals only a Forms
+    with pytest.raises(TypeError):
+        hash(sample_forms)
 
 
 def test_large_lexicon_arithmetic():
@@ -104,16 +135,56 @@ def test_parallel_uses_callers_ruleset(sample_entries, sample_forms, keep):
     assert [str(f) for f in parallel_stats.failures] == [str(f) for f in serial_stats.failures]
 
 
+def _row_order(form):
+    """The order of the rows of an inflected lexicon TSV."""
+    return form.lemma, form.code, CELL_ORDER[form.cell]
+
+
+def _write_per_form(forms, path):
+    """The TSV of ``forms`` written one form at a time, after a stable sort
+    of the forms: the reference for write_lexicon."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(pipeline.HEADER + "\n")
+        for f in sorted(forms, key=_row_order):
+            fh.write("\t".join([f.surface_arabic, f.surface, f.lemma, f.root, f.code,
+                                f.cell.tag, f.cell.paradigm, f.cell.voice]) + "\n")
+
+
 def test_write_read_round_trip(tmp_path, sample_forms):
     path = tmp_path / "inflected.tsv"
     pipeline.write_lexicon(sample_forms, path.as_posix())
     back = pipeline.read_lexicon(path.as_posix())
-    assert back == sorted(sample_forms, key=pipeline.InflectedForm.sort_key)
+    assert back == sorted(sample_forms, key=_row_order)
+
+
+def _duplicate_entries():
+    """One entry repeated, two roots under one lemma and code, and two
+    roots under the empty lemma: paradigms that share (lemma, code)."""
+    code = parse_code("00L0003")
+    return [LexiconEntry("kataba", "ktb", code), LexiconEntry("", "drs", code),
+            LexiconEntry("kataba", "ktb", code), LexiconEntry("kataba", "qtl", code),
+            LexiconEntry("", "Hrk", code), LexiconEntry("", "drs", parse_code("00L0002")),
+            LexiconEntry("kataba", "ktb", code)]
+
+
+@pytest.mark.parametrize("case", ["sample+gold", "gold reversed+sample", "duplicates"])
+def test_write_equals_a_stable_per_form_sort(tmp_path, sample_forms, gold_forms, case):
+    if case == "sample+gold":
+        forms = pipeline.Forms(sample_forms.paradigms + gold_forms.paradigms)
+    elif case == "gold reversed+sample":
+        forms = pipeline.Forms(gold_forms.paradigms[::-1] + sample_forms.paradigms)
+    else:
+        forms, stats = pipeline.generate_all(_duplicate_entries())
+        assert not stats.failures and len(forms.paradigms) == 7
+    path, reference = tmp_path / "records.tsv", tmp_path / "per-form.tsv"
+    pipeline.write_lexicon(forms, path.as_posix())
+    _write_per_form(forms, reference.as_posix())
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_write_empty_is_header_only(tmp_path):
     path = tmp_path / "empty.tsv"
-    pipeline.write_lexicon([], path.as_posix())
+    pipeline.write_lexicon(pipeline.Forms([]), path.as_posix())
     text = path.read_text(encoding="utf-8")
     assert text.startswith("#") and text.count("\n") == 1
     assert pipeline.read_lexicon(path.as_posix()) == []
@@ -121,7 +192,7 @@ def test_write_empty_is_header_only(tmp_path):
 
 def test_read_rejects_corrupted_cell(tmp_path, sample_forms):
     path = tmp_path / "bad.tsv"
-    pipeline.write_lexicon(sample_forms[:5], path.as_posix())
+    pipeline.write_lexicon(pipeline.Forms(sample_forms.paradigms[:1]), path.as_posix())
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[3] = lines[3].replace("PERF", "PREF")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -140,7 +211,7 @@ def test_read_interns_cells(tmp_path, sample_forms):
 def test_read_rejects_illegal_cell(tmp_path, sample_forms):
     # Each field is legal, the combination is not: no third-person imperative.
     path = tmp_path / "bad.tsv"
-    pipeline.write_lexicon(sample_forms[:5], path.as_posix())
+    pipeline.write_lexicon(pipeline.Forms(sample_forms.paradigms[:1]), path.as_posix())
     lines = path.read_text(encoding="utf-8").splitlines()
     fields = lines[2].split("\t")
     fields[5:8] = ["3SM", "IMPV", "ACT"]
@@ -170,17 +241,19 @@ def test_read_shares_the_strings_of_each_entry(tmp_path, sample_forms):
 
 def test_read_skips_comments_and_blanks_across_line_ends(tmp_path, sample_forms):
     path = tmp_path / "inflected.tsv"
-    pipeline.write_lexicon(sample_forms[:3] + sample_forms[200:202], path.as_posix())
+    forms = pipeline.Forms(sample_forms.paradigms[1:3])
+    pipeline.write_lexicon(forms, path.as_posix())
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[2:2] = ["", "# a comment", ""]
+    lines[113:113] = ["# between the entries"]
     path.write_bytes("\r\n".join(lines).encode("utf-8"))  # CRLF, no final newline
     back = pipeline.read_lexicon(path.as_posix())
-    assert back == sorted(sample_forms[:3] + sample_forms[200:202], key=pipeline.InflectedForm.sort_key)
+    assert back == sorted(forms, key=_row_order)
 
 
 def test_read_names_the_line_of_a_short_row(tmp_path, sample_forms):
     path = tmp_path / "bad.tsv"
-    pipeline.write_lexicon(sample_forms[:4], path.as_posix())
+    pipeline.write_lexicon(pipeline.Forms(sample_forms.paradigms[:1]), path.as_posix())
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[2:2] = ["# a comment", ""]
     lines[5] = lines[5].rsplit("\t", 1)[0]
@@ -235,7 +308,7 @@ def test_strict_fails_only_the_entry_with_the_wrong_lemma(ruleset, workers):
     forms, stats = pipeline.generate_all([wrong, right], workers=workers, strict=True)
     assert [(f.entry, f.stage, str(f.cause)) for f in stats.failures] == [
         ("kataba", "BadLexicon", "lemma kataba does not regenerate (got façala)")]
-    assert forms == loose[109:]
+    assert forms == pipeline.Forms(loose.paradigms[1:])
     assert forms[0].surface == "Haraka"
 
 
@@ -441,7 +514,7 @@ def _assert_cached_equals_direct(monkeypatch, entries, ruleset=None):
         applied = _count_apply(patch)
         forms, stats = pipeline.generate_all(entries, ruleset)
     direct_forms, hits, failures, histogram = _direct(entries, ruleset)
-    assert forms == direct_forms
+    assert list(forms) == direct_forms
     assert stats.rule_hits == hits
     assert [str(f) for f in stats.failures] == failures
     assert stats.pattern_histogram == histogram
