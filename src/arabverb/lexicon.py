@@ -72,20 +72,6 @@ QUADRILITERAL = frozenset(["QI", "QII", "QIII", "QIV"])
 
 
 @dataclass(frozen=True)
-class MorphCode:
-    d1: str
-    d2: str
-    template: str
-    d4: str
-    v5: str
-    v6: str
-    v7: str
-
-    def __str__(self):
-        return self.d1 + self.d2 + self.template + self.d4 + self.v5 + self.v6 + self.v7
-
-
-@dataclass(frozen=True)
 class DerivClass:
     label: str
     ops: tuple
@@ -99,15 +85,15 @@ class DerivClass:
 class LexiconEntry:
     lemma: str  # internal, fully diacritized 3SM perfective active
     root: str  # 3-4 radical symbols
-    code: MorphCode
+    code: str  # 7 characters, as parse_code returns it
     gloss: str = ""
 
     def key(self):
-        return (self.lemma, str(self.code))
+        return (self.lemma, self.code)
 
 
 def parse_code(text):
-    """Parse a 6- or 7-character lexical code."""
+    """The validated 7-character form of a 6- or 7-character lexical code."""
     if len(text) == 6:
         text = text + "0"
     if len(text) != 7:
@@ -124,28 +110,29 @@ def parse_code(text):
     for v in (v5, v6, v7):
         if v not in "0123":
             raise BadCode("vowel digit of %r out of range" % text)
-    return MorphCode(d1, d2, tpl, d4, v5, v6, v7)
+    return text
 
 
 def resolve_class(code):
     """Resolve a parsed code against the codebook into a DerivClass."""
-    label = _LABELS.get((code.d1, code.d2, code.d4, code.template))
+    d1, d2, template, d4, v5, v6, v7 = code
+    label = _LABELS.get((d1, d2, d4, template))
     if label is None:
         raise UnknownClass("no codebook row for digits %s%s_%s with template %s"
-                           % (code.d1, code.d2, code.d4, code.template))
+                           % (d1, d2, d4, template))
     ops = []
     ta = False
-    for pos, digit in (("1", code.d1), ("2", code.d2), ("4", code.d4)):
+    for pos, digit in (("1", d1), ("2", d2), ("4", d4)):
         for op in CODEBOOK.get((pos, digit), ()):
             if op == ("ta",):
                 ta = True
             else:
                 ops.append(op)
 
-    p_w = _VOWEL_DIGIT[code.v5] or "a"
-    i_v = _VOWEL_DIGIT[code.v6] or ("u" if label in _ISTEM_V_U else "a")
-    if _VOWEL_DIGIT[code.v7]:
-        i_w = _VOWEL_DIGIT[code.v7]
+    p_w = _VOWEL_DIGIT[v5] or "a"
+    i_v = _VOWEL_DIGIT[v6] or ("u" if label in _ISTEM_V_U else "a")
+    if _VOWEL_DIGIT[v7]:
+        i_w = _VOWEL_DIGIT[v7]
     elif label == "I":
         i_w = "u"
     elif label in _ISTEM_W_A:
@@ -157,7 +144,7 @@ def resolve_class(code):
     return DerivClass(
         label=label,
         ops=tuple(ops),
-        template_type=code.template,
+        template_type=template,
         ta_prefix=ta,
         p_vowels=("a", p_w),
         i_vowels=(i_v, i_w),

@@ -95,7 +95,7 @@ class GenStats:
 
 
 def _failed(entry, exc):
-    return EntryFailed(entry.lemma or entry.root, type(exc).__name__, exc, entry.root, str(entry.code))
+    return EntryFailed(entry.lemma or entry.root, type(exc).__name__, exc, entry.root, entry.code)
 
 
 def generate_entry(entry, ruleset=None, hits=None):
@@ -118,30 +118,20 @@ def generate_entry(entry, ruleset=None, hits=None):
             if own:
                 for rule_id, n in own.items():
                     hits[rule_id] = hits.get(rule_id, 0) + cells * n
-        lemma, root, code = entry.lemma, entry.root, str(entry.code)
+        lemma, root, code = entry.lemma, entry.root, entry.code
         return [InflectedForm(*done[form], lemma, root, code, cell)
                 for form, cell in zip(underlying, CELLS)]
     except ArabverbError as exc:
         raise _failed(entry, exc)
 
 
-def _expand_entry(entry, ruleset):
-    """One entry's (paradigm, rule hits), or its EntryFailed, as data."""
-    hits = {}
-    try:
-        forms = generate_entry(entry, ruleset, hits)
-    except EntryFailed as exc:
-        return exc
-    return Paradigm(entry.lemma, entry.root, str(entry.code), tuple(f.surface for f in forms),
-                    tuple(f.surface_arabic for f in forms)), hits
-
-
 # Paradigm cache.  Stems, chart and cascade read most radicals only as
 # members of a class (C, K, M); a few they compare by identity.  Two roots
 # that differ only in the other radicals, equal ones staying equal, have
-# the same paradigm up to renaming those radicals.  So generate_all
-# cascades the first entry of each (code, stand-in root) and gives the
-# other entries of that key its forms with their own radicals.
+# the same paradigm up to renaming those radicals.  So _expand_code
+# cascades the first entry of each stand-in root of its code and gives
+# the other entries of that stand-in root its forms with their own
+# radicals.
 
 
 def special_consonants(ruleset):
@@ -190,34 +180,6 @@ _TO_BYTES = codecs.charmap_build(_BYTE_SYMBOLS)
 _UNCHANGED = bytes(range(256))
 
 
-def _expand_others(first, result, others, ruleset):
-    """The results of ``others`` from ``result``, the expansion of
-    ``first``, an entry of the same key.
-
-    Each other entry's paradigm renames the radicals of ``first`` to its own,
-    in the surfaces and the scripts alike: to_script maps one symbol at a
-    time, and well_formed does not change when one consonant replaces
-    another.  If ``first`` failed, each other entry is expanded on its
-    own, so that its failure names its own root.
-    """
-    if isinstance(result, EntryFailed):
-        return [_expand_entry(entry, ruleset) for entry in others]
-    paradigm, hits = result
-    text = "\n".join(paradigm.surfaces + paradigm.scripts)
-    encoded = codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
-    out = []
-    for entry in others:
-        table = bytearray(_UNCHANGED)
-        for old, new in zip(first.root, entry.root):
-            if old != new:
-                table[_BYTE[old]] = _BYTE[new]
-                table[_BYTE[SCRIPT[old]]] = _BYTE[SCRIPT[new]]
-        lines = codecs.charmap_decode(encoded.translate(table), "strict", _BYTE_SYMBOLS)[0].split("\n")
-        out.append((Paradigm(entry.lemma, entry.root, str(entry.code),
-                             tuple(lines[:FORMS_PER_LEMMA]), tuple(lines[FORMS_PER_LEMMA:])), hits))
-    return out
-
-
 # Cascade memo.  The cascade reads the consonants of ``RuleSet.free`` only
 # as members of a class, so it commutes with any permutation of them.  Each
 # entry renames its free radicals to the first stand-ins, which no affix or
@@ -247,21 +209,52 @@ def _renaming(root, free, targets):
 
 def _translate(strings, table):
     """``strings`` renamed by the byte table ``table``, in one batch.  The
-    internal alphabet is Latin-1, so each symbol is its own byte."""
-    return "\n".join(strings).encode("latin-1").translate(table).decode("latin-1").split("\n")
+    internal alphabet is Latin-1, so each symbol is its own byte; a symbol
+    beyond it, which only a rule can write, is left as it is, and to_script
+    rejects it."""
+    text = "\n".join(strings)
+    try:
+        text = text.encode("latin-1").translate(table).decode("latin-1")
+    except UnicodeEncodeError:
+        text = text.translate(table)
+    return text.split("\n")
 
 
-def _expand_code(firsts, ruleset, targets):
-    """The (paradigm, rule hits) or EntryFailed of each of ``firsts``, entries
-    of one code, cascading each distinct renamed underlying form once.
+def _expand_code(entries, ruleset, stand, targets):
+    """The (paradigm, rule hits) or EntryFailed of each of ``entries``, all
+    of one code, in their order.
 
-    ``targets`` orders ``RuleSet.free``, stand-ins first.  Module-level so
+    The first entry of each stand-in root (over ``stand``) is expanded,
+    cascading each distinct renamed underlying form once for the code;
+    ``targets`` orders ``RuleSet.free``, stand-ins first.  Each other entry
+    of that stand-in root renames the radicals of the first to its own, in
+    the surfaces and the scripts alike: to_script maps one symbol at a time,
+    and well_formed does not change when one consonant replaces another.
+    An entry that fails fills no stand-in root, so the next entry of it is
+    expanded in turn and its failure names its own root.  Module-level so
     that a process pool can send it to its workers.
     """
     rs = ruleset if ruleset is not None else rules.default_rules()
     memo = {}  # renamed underlying form -> (renamed surface, rule hits)
+    filled = {}  # stand-in root -> root, paradigm, rule hits, encoded forms of its first entry
     out = []
-    for entry in firsts:
+    for entry in entries:
+        key = stand_in_root(entry.root, stand)
+        if key in filled:
+            root, paradigm, hits, encoded = filled[key]
+            if encoded is None:  # most stand-in roots of a mixed lexicon have one entry
+                text = "\n".join(paradigm.surfaces + paradigm.scripts)
+                encoded = codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
+                filled[key] = root, paradigm, hits, encoded
+            table = bytearray(_UNCHANGED)
+            for old, new in zip(root, entry.root):
+                if old != new:
+                    table[_BYTE[old]] = _BYTE[new]
+                    table[_BYTE[SCRIPT[old]]] = _BYTE[SCRIPT[new]]
+            lines = codecs.charmap_decode(encoded.translate(table), "strict", _BYTE_SYMBOLS)[0].split("\n")
+            out.append((Paradigm(entry.lemma, entry.root, entry.code,
+                                 tuple(lines[:FORMS_PER_LEMMA]), tuple(lines[FORMS_PER_LEMMA:])), hits))
+            continue
         try:
             stems = build_stems(entry)
             underlying = [inflect(stems, cell) for cell in CELLS]
@@ -269,11 +262,11 @@ def _expand_code(firsts, ruleset, targets):
             renaming = _renaming(entry.root, rs.free, targets)
             keys = counts if renaming is None else _translate(counts, renaming[0])
             hits, surfaces = {}, []
-            for key, cells in zip(keys, counts.values()):
-                got = memo.get(key)
+            for form, cells in zip(keys, counts.values()):
+                got = memo.get(form)
                 if got is None:
                     own = {}
-                    got = memo[key] = rs.apply(key, own), own
+                    got = memo[form] = rs.apply(form, own), own
                 surfaces.append(got[0])
                 for rule_id, n in got[1].items():
                     hits[rule_id] = hits.get(rule_id, 0) + cells * n
@@ -281,13 +274,14 @@ def _expand_code(firsts, ruleset, targets):
                 surfaces = _translate(surfaces, renaming[1])
             surface_of = dict(zip(counts, surfaces))
             script_of = {form: to_script(surface) for form, surface in surface_of.items()}
-            out.append((Paradigm(entry.lemma, entry.root, str(entry.code),
-                                 tuple(map(surface_of.__getitem__, underlying)),
-                                 tuple(map(script_of.__getitem__, underlying))), hits))
         except ArabverbError as exc:
             out.append(_failed(entry, exc))
-        except UnicodeEncodeError:  # a symbol beyond Latin-1: no renaming
-            out.append(_expand_entry(entry, rs))
+            continue
+        paradigm = Paradigm(entry.lemma, entry.root, entry.code,
+                            tuple(map(surface_of.__getitem__, underlying)),
+                            tuple(map(script_of.__getitem__, underlying)))
+        filled[key] = entry.root, paradigm, hits, None
+        out.append((paradigm, hits))
     return out
 
 
@@ -295,39 +289,34 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
     """Expand a lexicon; per-entry failures are collected, not fatal.
 
     Returns (forms, stats): forms is a Forms over one Paradigm per entry
-    that generated, in input order.  Only the first entry of each
-    (code, stand-in root) is expanded; the others of that key are renamed
-    from it (see special_consonants).  The first entries of one code share
-    a cascade memo (see _expand_code).  With workers > 1 the codes are
-    expanded in a process pool, one task each; the output is identical to
-    a serial run.  With strict=True an entry whose 3SM perfective active
-    surface (CELLS[0]) is not its lemma fails as well.
+    that generated, in input order.  The entries of each code are expanded
+    together (see _expand_code): the first entry of each stand-in root
+    (see special_consonants) through the code's cascade memo, the others
+    renamed from it.  With workers > 1 the codes are expanded in a process
+    pool, one task each; the output is identical to a serial run.  With
+    strict=True an entry whose 3SM perfective active surface (CELLS[0]) is
+    not its lemma fails as well.
     """
     entries = list(entries)
     rs = ruleset if ruleset is not None else rules.default_rules()
-    free = stand_ins(rs)
-    targets = free + "".join(sorted(rs.free.difference(free)))
-    codes = {}  # code -> {stand-in root: indices of its entries}
+    stand = stand_ins(rs)
+    targets = stand + "".join(sorted(rs.free.difference(stand)))
+    codes = {}  # code -> indices of its entries
     for i, entry in enumerate(entries):
-        keys = codes.setdefault(str(entry.code), {})
-        keys.setdefault(stand_in_root(entry.root, free), []).append(i)
-    firsts = [[entries[members[0]] for members in keys.values()] for keys in codes.values()]
-    expand = functools.partial(_expand_code, ruleset=ruleset, targets=targets)
+        codes.setdefault(entry.code, []).append(i)
+    groups = [[entries[i] for i in indices] for indices in codes.values()]
+    expand = functools.partial(_expand_code, ruleset=ruleset, stand=stand, targets=targets)
     if workers > 1:
         import multiprocessing  # only a pool needs it; every import of arabverb would pay for it
 
         with multiprocessing.Pool(workers) as pool:
-            expanded = pool.map(expand, firsts)
+            expanded = pool.map(expand, groups)
     else:
-        expanded = map(expand, firsts)
+        expanded = map(expand, groups)
     results = [None] * len(entries)
-    for keys, code_firsts, code_results in zip(codes.values(), firsts, expanded):
-        for (i, *rest), first, result in zip(keys.values(), code_firsts, code_results):
+    for indices, code_results in zip(codes.values(), expanded):
+        for i, result in zip(indices, code_results):
             results[i] = result
-            if rest:
-                others = _expand_others(first, result, [entries[j] for j in rest], ruleset)
-                for j, other in zip(rest, others):
-                    results[j] = other
     stats = GenStats()
     paradigms = []
     labels = {}
@@ -341,10 +330,9 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
                 "lemma %s does not regenerate (got %s)" % (entry.lemma, paradigm.surfaces[0]))))
             continue
         paradigms.append(paradigm)
-        code = str(entry.code)
-        if code not in labels:
-            labels[code] = resolve_class(entry.code).label
-        _count(stats, labels[code], hits)
+        if entry.code not in labels:
+            labels[entry.code] = resolve_class(entry.code).label
+        _count(stats, labels[entry.code], hits)
     return Forms(paradigms), stats
 
 

@@ -9,8 +9,8 @@ from arabverb.stems import merge
 def test_parse_legacy_six_character_code():
     code = parse_code("04H000")
     assert str(code) == "04H0000"
-    assert code.d2 == "4"
-    assert code.template == "H"
+    assert code[1] == "4"
+    assert code[2] == "H"
 
 
 def test_parse_all_zero_code_is_default_pattern_one():

@@ -539,6 +539,19 @@ def test_cache_equals_direct_generation(monkeypatch, drawn_entries):
     assert forms
 
 
+# drawn_entries come in per-code blocks; shuffled, the codes, stand-in
+# roots and failing roots interleave, and each code's results must still
+# go back to the input positions of its entries.
+def test_cache_equals_direct_on_shuffled_input(monkeypatch, drawn_entries):
+    shuffled = list(drawn_entries)
+    random.Random(13).shuffle(shuffled)
+    forms, stats, _cascades = _assert_cached_equals_direct(monkeypatch, shuffled)
+    parallel, parallel_stats = pipeline.generate_all(shuffled, workers=2)
+    assert parallel == forms
+    assert parallel_stats.rule_hits == stats.rule_hits
+    assert [str(f) for f in parallel_stats.failures] == [str(f) for f in stats.failures]
+
+
 def test_cache_equals_direct_under_a_rule_naming_a_free_consonant(monkeypatch, ruleset):
     custom = rules.RuleSet((rules.make_rule("b01", "phono", "b", "f", left="#"),) + ruleset.rules)
     entries = _drawn_entries([parse_code("00L0003"), parse_code("00H0000")], "bf", "bfktqmw", 3)
