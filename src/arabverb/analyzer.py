@@ -9,8 +9,8 @@ from collections import namedtuple
 
 from .alphabet import ALPHABET, SHADDA, SUKUN, VOWELS
 from .errors import LemmaNotFound
-from .inflect import CELL_ORDER
-from .lexicon import parse_code, resolve_class
+from .inflect import CELLS
+from .lexicon import resolve_class
 from .translit import to_internal
 
 DIACRITICS = VOWELS | {SHADDA, SUKUN}
@@ -53,7 +53,7 @@ class Analysis(namedtuple("Analysis", "lemma root code label surface tag paradig
 
 
 class FormIndex:
-    """Diacritic-stripped, lemma and root lookup over inflected forms."""
+    """Diacritic-stripped, lemma and root lookup over the paradigms of a Forms."""
 
     def __init__(self, forms):
         self.by_skeleton = by_skeleton = {}
@@ -61,31 +61,19 @@ class FormIndex:
         self.by_root = by_root = {}
         seen = set()
         labels = {}  # a label depends only on the code
-        # The rows of one entry come in a run that shares (lemma, code, root),
-        # so its label, by_lemma rows and by_root key are looked up once per
-        # run.  A run that starts with a duplicate row finds them already
-        # there, put by the row it repeats.
-        lemma = code = root = None
-        for f in forms:
-            if f.lemma != lemma or f.code != code or f.root != root:
-                lemma, code, root = f.lemma, f.code, f.root
-                label = labels.get(code)
-                if label is None:
-                    label = labels[code] = resolve_class(parse_code(code)).label
-                rows = by_lemma.setdefault(lemma, {}).setdefault(code, [])
-                by_root.setdefault(root, {})[(lemma, code)] = label
-            cell, surface = f.cell, f.surface
-            analysis = Analysis(lemma, root, code, label, surface, cell.tag, cell.paradigm, cell.voice)
-            if analysis in seen:
-                continue  # identical duplicate rows collapse
-            seen.add(analysis)
-            key = skeleton(surface)
-            bucket = by_skeleton.get(key)
-            if bucket is None:
-                by_skeleton[key] = [analysis]
-            else:
-                bucket.append(analysis)
-            rows.append((CELL_ORDER[cell], cell, surface))
+        for lemma, root, code, surfaces, _scripts in forms.paradigms:
+            label = labels.get(code)
+            if label is None:
+                label = labels[code] = resolve_class(code).label
+            rows = by_lemma.setdefault(lemma, {}).setdefault(code, [])
+            by_root.setdefault(root, {})[(lemma, code)] = label
+            for i, (cell, surface) in enumerate(zip(CELLS, surfaces)):
+                analysis = Analysis(lemma, root, code, label, surface, cell.tag, cell.paradigm, cell.voice)
+                if analysis in seen:
+                    continue  # identical duplicate forms collapse
+                seen.add(analysis)
+                by_skeleton.setdefault(skeleton(surface), []).append(analysis)
+                rows.append((i, cell, surface))
         self.size = len(seen)
 
     def __len__(self):

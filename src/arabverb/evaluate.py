@@ -9,6 +9,7 @@ is already canonical).
 from dataclasses import dataclass
 
 from .errors import BadLexicon
+from .inflect import CELLS
 
 # Normalized comparison schema, one form per row:
 #   lemma (internal) <TAB> tag <TAB> paradigm <TAB> voice <TAB> surface (internal)
@@ -105,11 +106,9 @@ def evaluate(reference_rows, generated_rows, exclusions=None):
 
 
 def forms_to_normalized(forms):
-    """Inflected forms -> normalized comparison rows."""
-    return [
-        (f.lemma, f.cell.tag, f.cell.paradigm, f.cell.voice, f.surface)
-        for f in forms
-    ]
+    """The forms of a Forms -> normalized comparison rows."""
+    return [(p.lemma, cell.tag, cell.paradigm, cell.voice, surface)
+            for p in forms.paradigms for cell, surface in zip(CELLS, p.surfaces)]
 
 
 def evaluate_files(reference_path, generated_path, exclude_path=None, report_path=None):

@@ -81,7 +81,6 @@ def all_cells():
     return cells
 
 CELLS = tuple(all_cells())
-CELL_ORDER = {cell: i for i, cell in enumerate(CELLS)}
 
 
 def inflect(stems, cell):

@@ -114,8 +114,9 @@ def parse_code(text):
 
 
 def resolve_class(code):
-    """Resolve a parsed code against the codebook into a DerivClass."""
-    d1, d2, template, d4, v5, v6, v7 = code
+    """Resolve a code against the codebook into a DerivClass; the code is
+    checked and padded by parse_code first."""
+    d1, d2, template, d4, v5, v6, v7 = parse_code(code)
     label = _LABELS.get((d1, d2, d4, template))
     if label is None:
         raise UnknownClass("no codebook row for digits %s%s_%s with template %s"

@@ -1,6 +1,7 @@
 """Lexicon-scale generation through the full stem/inflection/cascade
 flow, once per code and radical signature, with stats and a persisted
-TSV lexicon.  Generated forms are kept as one Paradigm record per entry.
+TSV lexicon.  Generated and read-back forms are kept as one Paradigm
+record per entry.
 """
 
 import codecs
@@ -369,13 +370,16 @@ def write_lexicon(forms, path):
             fh.write("".join(map("".join, chain.from_iterable(zip(*rows)))))
 
 
-_CELLS = {(c.tag, c.paradigm, c.voice): c for c in CELLS}
+_CELL_INDEX = {(c.tag, c.paradigm, c.voice): i for i, c in enumerate(CELLS)}
 
 
 def read_lexicon(path):
-    """Read an inflected lexicon TSV back; raises on malformed rows."""
-    forms = []
-    entry = None
+    """Read an inflected lexicon TSV back into a Forms; raises on a malformed
+    row, naming its line.  In a run of rows of one (lemma, code), a row of
+    cell 0 opens a paradigm, and a row of cell i joins the first open one of
+    its root that holds cells 0..i-1, so interleaved paradigms read back."""
+    paradigms = []  # [lemma, root, code, surfaces, scripts, last line] of each, as opened
+    key, opened = None, {}  # root -> the paradigms of the (lemma, code) run ``key``
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -385,18 +389,34 @@ def read_lexicon(path):
             if len(fields) != 8:
                 raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
             arabic, surface, lemma, root, code, tag, paradigm, voice = fields
-            if (lemma, root, code) == entry:
-                lemma, root, code = entry  # the rows of one entry share its strings
-            else:
-                entry = lemma, root, code
-            cell = _CELLS.get((tag, paradigm, voice))
-            if cell is None:
+            i = _CELL_INDEX.get((tag, paradigm, voice))
+            if i is None:
                 try:
-                    cell = Cell(tag, paradigm, voice)  # raises: CELLS has every legal cell
+                    Cell(tag, paradigm, voice)  # raises: CELLS has every legal cell
                 except ArabverbError as exc:
                     raise ArabverbError("line %d: %s" % (lineno, exc))
-            forms.append(InflectedForm(surface, arabic, lemma, root, code, cell))
-    return forms
+            if (lemma, code) != key:
+                key, opened = (lemma, code), {}
+            if i == 0:
+                p = [lemma, root, code, [], [], lineno]
+                paradigms.append(p)
+                opened.setdefault(root, []).append(p)
+            else:
+                for p in opened.get(root, ()):
+                    if len(p[3]) == i:
+                        p[5] = lineno
+                        break
+                else:
+                    raise ArabverbError("line %d: no open paradigm of %s %s %s is due cell %s"
+                                        % (lineno, lemma, root, code, CELLS[i]))
+            p[3].append(surface)
+            p[4].append(arabic)
+    for j, (lemma, root, code, surfaces, scripts, lineno) in enumerate(paradigms):
+        if len(surfaces) != FORMS_PER_LEMMA:
+            raise ArabverbError("line %d: paradigm of %s %s %s ends after %d of %d cells"
+                                % (lineno, lemma, root, code, len(surfaces), FORMS_PER_LEMMA))
+        paradigms[j] = Paradigm(lemma, root, code, tuple(surfaces), tuple(scripts))
+    return Forms(paradigms)
 
 
 def write_stats(stats, path):

@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from arabverb import analyzer
+from arabverb import analyzer, pipeline
 from arabverb.alphabet import ALPHABET
 from arabverb.analyzer import (DIACRITICS, Analysis, FormIndex, analyze, derive_root, inflect_verb,
                                matches_partial, skeleton)
 from arabverb.errors import LemmaNotFound, UnknownCharacter
-from arabverb.inflect import CELL_ORDER
+from arabverb.evaluate import forms_to_normalized
+from arabverb.inflect import CELLS
 from arabverb.lexicon import parse_code, resolve_class
-from arabverb.pipeline import read_lexicon, write_lexicon
+from arabverb.pipeline import Forms, read_lexicon, write_lexicon
+from test_pipeline import _duplicate_entries
 
 
 @pytest.fixture(scope="module")
@@ -171,10 +173,25 @@ def test_index_resolves_each_code_once(monkeypatch, sample_forms):
     assert sorted(calls) == sorted({f.code for f in sample_forms})
 
 
-# FormIndex builds its maps in one pass, looking up the lemma table and the
-# root entry once per run of rows of one entry.  The reference below is the
-# plain per-row build: every map, its key order and its list order must
-# come out the same.
+def test_read_and_index_build_no_inflected_form(tmp_path, monkeypatch, sample_forms, sample_index):
+    path = tmp_path / "inflected.tsv"
+    write_lexicon(sample_forms, path.as_posix())
+
+    def refuse(*args):
+        raise AssertionError("an InflectedForm was built")
+
+    monkeypatch.setattr(pipeline, "InflectedForm", refuse)
+    forms = read_lexicon(path.as_posix())
+    assert len(FormIndex(forms)) == len(sample_index)
+    assert len(forms_to_normalized(forms)) == len(forms_to_normalized(sample_forms)) == len(sample_forms)
+
+
+# FormIndex builds its maps in one pass over the paradigm records, looking
+# up the label, the lemma table and the root entry once per paradigm.  The
+# reference below is the plain per-form build over the InflectedForm views:
+# every map, its key order and its list order must come out the same.
+
+CELL_ORDER = {cell: i for i, cell in enumerate(CELLS)}
 
 def reference_skeleton(s):
     return "".join(ch for ch in s if ch not in DIACRITICS)
@@ -207,21 +224,24 @@ def ordered(index):
 
 def shuffled_with_repeats(forms, seed):
     rng = random.Random(seed)
-    rows = list(forms) + rng.sample(forms, len(forms) // 4)
-    rng.shuffle(rows)
-    return rows
+    paradigms = list(forms.paradigms) + rng.sample(forms.paradigms, len(forms.paradigms) // 4)
+    rng.shuffle(paradigms)
+    return Forms(paradigms)
 
 
 def test_index_equals_the_per_row_build(sample_forms, gold_forms):
-    one, two = sample_forms[:109], sample_forms[109:218]
+    duplicates, stats = pipeline.generate_all(_duplicate_entries())
+    assert not stats.failures
+    first = sample_forms.paradigms[0]
+    changed = first._replace(surfaces=first.surfaces[:40] + ("x",) + first.surfaces[41:])
     cases = [
         sample_forms,
-        list(gold_forms) + list(sample_forms),
+        Forms(gold_forms.paradigms + sample_forms.paradigms),
         shuffled_with_repeats(sample_forms, 1),
         shuffled_with_repeats(gold_forms, 2),
-        # an entry's rows come back in a later run that starts with rows
-        # already seen, then a run of nothing but repeats
-        one[:50] + two[:10] + one[:60] + two[:10],
+        duplicates,
+        # 108 of the copy's analyses repeat the first paradigm's and collapse
+        Forms([first, changed]),
     ]
     for forms in cases:
         index, reference = FormIndex(forms), ReferenceIndex(forms)

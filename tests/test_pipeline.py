@@ -11,7 +11,7 @@ import pytest
 from arabverb import errors, pipeline, rules
 from arabverb.alphabet import CONSONANTS
 from arabverb.errors import ArabverbError, EntryFailed
-from arabverb.inflect import CELL_ORDER, CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, inflect
+from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, inflect
 from arabverb.lexicon import CODEBOOK, QUADRILITERAL, LexiconEntry, parse_code, resolve_class
 from arabverb.stems import VIII_ASSIMILATION, build_stems
 from arabverb.translit import to_script
@@ -80,6 +80,17 @@ def test_failure_isolation():
     assert stats.failures[0].stage == "OpOutOfRange"
 
 
+def test_unparsable_code_fails_only_its_entry():
+    # LexiconEntry does not check its code; resolve_class runs it through
+    # parse_code, so a 6-character legacy code generates padded.
+    good = LexiconEntry(lemma="", root="ktb", code=parse_code("00L0000"))
+    entries = [good] + [LexiconEntry(lemma="", root="ktb", code=c) for c in ("00L", "00L000", "00L0009")]
+    forms, stats = pipeline.generate_all(entries)
+    assert [(f.stage, f.code) for f in stats.failures] == [("BadCode", "00L"), ("BadCode", "00L0009")]
+    assert [p.code for p in forms.paradigms] == ["00L0000", "00L000"]
+    assert forms.paradigms[1].surfaces == forms.paradigms[0].surfaces
+
+
 # One instance of every ArabverbError subclass whose __init__ is not the
 # message-only one inherited from Exception.
 CUSTOM_INIT_ERRORS = [
@@ -135,6 +146,9 @@ def test_parallel_uses_callers_ruleset(sample_entries, sample_forms, keep):
     assert [str(f) for f in parallel_stats.failures] == [str(f) for f in serial_stats.failures]
 
 
+CELL_ORDER = {cell: i for i, cell in enumerate(CELLS)}
+
+
 def _row_order(form):
     """The order of the rows of an inflected lexicon TSV."""
     return form.lemma, form.code, CELL_ORDER[form.cell]
@@ -154,7 +168,7 @@ def test_write_read_round_trip(tmp_path, sample_forms):
     path = tmp_path / "inflected.tsv"
     pipeline.write_lexicon(sample_forms, path.as_posix())
     back = pipeline.read_lexicon(path.as_posix())
-    assert back == sorted(sample_forms, key=_row_order)
+    assert list(back) == sorted(sample_forms, key=_row_order)
 
 
 def _duplicate_entries():
@@ -187,7 +201,7 @@ def test_write_empty_is_header_only(tmp_path):
     pipeline.write_lexicon(pipeline.Forms([]), path.as_posix())
     text = path.read_text(encoding="utf-8")
     assert text.startswith("#") and text.count("\n") == 1
-    assert pipeline.read_lexicon(path.as_posix()) == []
+    assert len(pipeline.read_lexicon(path.as_posix())) == 0
 
 
 def test_read_rejects_corrupted_cell(tmp_path, sample_forms):
@@ -248,7 +262,7 @@ def test_read_skips_comments_and_blanks_across_line_ends(tmp_path, sample_forms)
     lines[113:113] = ["# between the entries"]
     path.write_bytes("\r\n".join(lines).encode("utf-8"))  # CRLF, no final newline
     back = pipeline.read_lexicon(path.as_posix())
-    assert back == sorted(forms, key=_row_order)
+    assert list(back) == sorted(forms, key=_row_order)
 
 
 def test_read_names_the_line_of_a_short_row(tmp_path, sample_forms):
@@ -259,6 +273,56 @@ def test_read_names_the_line_of_a_short_row(tmp_path, sample_forms):
     lines[5] = lines[5].rsplit("\t", 1)[0]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ArabverbError, match="^line 6: expected 8 columns, got 7$"):
+        pipeline.read_lexicon(path.as_posix())
+
+
+# read_lexicon groups the rows of each (lemma, code) run back into the
+# paradigms that write_lexicon interleaved cell by cell.
+
+def test_read_returns_the_written_paradigms(tmp_path):
+    forms, stats = pipeline.generate_all(_duplicate_entries())
+    assert not stats.failures
+    path = tmp_path / "duplicates.tsv"
+    pipeline.write_lexicon(forms, path.as_posix())
+    back = pipeline.read_lexicon(path.as_posix())
+    assert isinstance(back, pipeline.Forms)
+    assert back == pipeline.Forms(sorted(forms.paradigms, key=lambda p: (p.lemma, p.code)))
+
+
+def test_read_concatenated_outputs(tmp_path):
+    # The second output starts inside the last (lemma, code) run of the
+    # first, whose paradigms are all whole by then.
+    forms, _stats = pipeline.generate_all(_duplicate_entries())
+    ordered = sorted(forms.paradigms, key=lambda p: (p.lemma, p.code))
+    one, two, path = tmp_path / "one.tsv", tmp_path / "two.tsv", tmp_path / "both.tsv"
+    pipeline.write_lexicon(forms, one.as_posix())
+    pipeline.write_lexicon(pipeline.Forms(ordered[-1:]), two.as_posix())
+    path.write_bytes(one.read_bytes() + two.read_bytes())
+    assert pipeline.read_lexicon(path.as_posix()) == pipeline.Forms(ordered + ordered[-1:])
+
+
+def test_read_names_the_line_of_a_dropped_row(tmp_path, sample_forms):
+    path = tmp_path / "bad.tsv"
+    pipeline.write_lexicon(pipeline.Forms(sample_forms.paradigms[:1]), path.as_posix())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    del lines[50]  # cell 49; the row of cell 50 moves up to line 51
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArabverbError, match="^line 51: no open paradigm of .* is due cell %s$" % CELLS[50]):
+        pipeline.read_lexicon(path.as_posix())
+
+
+@pytest.mark.parametrize("where", ["before the next entry", "at the end"])
+def test_read_names_the_last_line_of_a_truncated_entry(tmp_path, sample_forms, where):
+    path = tmp_path / "bad.tsv"
+    pipeline.write_lexicon(pipeline.Forms(sample_forms.paradigms[:2]), path.as_posix())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if where == "at the end":
+        lines, last = lines[:-30], len(lines) - 30
+    else:
+        del lines[100:110]  # the last 10 cells of the first entry
+        last = 100
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArabverbError, match="^line %d: paradigm of .* ends after" % last):
         pipeline.read_lexicon(path.as_posix())
 
 
