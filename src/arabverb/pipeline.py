@@ -14,9 +14,9 @@ from operator import attrgetter
 
 from . import rules
 from .alphabet import ALPHABET, CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
-from .errors import ArabverbError, BadLexicon, EntryFailed
+from .errors import ArabverbError, BadCode, BadLexicon, EntryFailed
 from .inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, Cell, inflect
-from .lexicon import CODEBOOK, resolve_class
+from .lexicon import CODEBOOK, parse_code, resolve_class
 from .stems import VIII_ASSIMILATION, build_stems
 from .translit import SCRIPT, to_script
 
@@ -186,8 +186,9 @@ _UNCHANGED = bytes(range(256))
 # entry renames its free radicals to the first stand-ins, which no affix or
 # codebook op writes, so that pattern letters such as m and s stay in
 # place; entries of one code whose forms then coincide share one cascade
-# per renamed form.  The memo lives for one code: one memo for all codes
-# holds many more forms for few more hits.
+# per renamed form.  The memo lives for one code, and its forms are
+# cascaded as one batch (RuleSet.apply_many): one memo for all codes holds
+# many more forms for few more hits.
 
 
 def _renaming(root, free, targets):
@@ -225,64 +226,83 @@ def _expand_code(entries, ruleset, stand, targets):
     """The (paradigm, rule hits) or EntryFailed of each of ``entries``, all
     of one code, in their order.
 
-    The first entry of each stand-in root (over ``stand``) is expanded,
-    cascading each distinct renamed underlying form once for the code;
-    ``targets`` orders ``RuleSet.free``, stand-ins first.  Each other entry
-    of that stand-in root renames the radicals of the first to its own, in
-    the surfaces and the scripts alike: to_script maps one symbol at a time,
-    and well_formed does not change when one consonant replaces another.
-    An entry that fails fills no stand-in root, so the next entry of it is
-    expanded in turn and its failure names its own root.  Module-level so
-    that a process pool can send it to its workers.
+    Pass 1 builds the underlying forms of the first entry of each stand-in
+    root (over ``stand``), renamed so that ``targets``, which orders
+    ``RuleSet.free`` stand-ins first, take its free radicals; the code's
+    distinct renamed forms are cascaded in one batch.  Pass 2 builds the
+    paradigm of each first entry from the batch, and then gives each other
+    entry of its stand-in root the same forms with its own radicals, in
+    the surfaces and the scripts alike: to_script maps one symbol at a
+    time, and well_formed does not change when one consonant replaces
+    another.  So the other entries of a first entry that fails in
+    to_script fail as it does.  An entry that fails in pass 1 fills no
+    stand-in root, so the next entry of it is expanded in turn and its
+    failure names its own root.  Module-level so that a process pool can
+    send it to its workers.
     """
     rs = ruleset if ruleset is not None else rules.default_rules()
-    memo = {}  # renamed underlying form -> (renamed surface, rule hits)
-    filled = {}  # stand-in root -> root, paradigm, rule hits, encoded forms of its first entry
-    out = []
-    for entry in entries:
+    out = [None] * len(entries)
+    memo = {}  # renamed underlying form -> its position in the batch
+    firsts = {}  # stand-in root -> index of its first entry
+    pending = []  # (index, batch position of each cell's form) of each first entry
+    others = []  # (index, index of the first entry of its stand-in root)
+    for i, entry in enumerate(entries):
         key = stand_in_root(entry.root, stand)
-        if key in filled:
-            root, paradigm, hits, encoded = filled[key]
-            if encoded is None:  # most stand-in roots of a mixed lexicon have one entry
-                text = "\n".join(paradigm.surfaces + paradigm.scripts)
-                encoded = codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
-                filled[key] = root, paradigm, hits, encoded
-            table = bytearray(_UNCHANGED)
-            for old, new in zip(root, entry.root):
-                if old != new:
-                    table[_BYTE[old]] = _BYTE[new]
-                    table[_BYTE[SCRIPT[old]]] = _BYTE[SCRIPT[new]]
-            lines = codecs.charmap_decode(encoded.translate(table), "strict", _BYTE_SYMBOLS)[0].split("\n")
-            out.append((Paradigm(entry.lemma, entry.root, entry.code,
-                                 tuple(lines[:FORMS_PER_LEMMA]), tuple(lines[FORMS_PER_LEMMA:])), hits))
+        if key in firsts:
+            others.append((i, firsts[key]))
             continue
         try:
             stems = build_stems(entry)
             underlying = [inflect(stems, cell) for cell in CELLS]
-            counts = Counter(underlying)
-            renaming = _renaming(entry.root, rs.free, targets)
-            keys = counts if renaming is None else _translate(counts, renaming[0])
-            hits, surfaces = {}, []
-            for form, cells in zip(keys, counts.values()):
-                got = memo.get(form)
-                if got is None:
-                    own = {}
-                    got = memo[form] = rs.apply(form, own), own
-                surfaces.append(got[0])
-                for rule_id, n in got[1].items():
-                    hits[rule_id] = hits.get(rule_id, 0) + cells * n
-            if renaming is not None:
-                surfaces = _translate(surfaces, renaming[1])
-            surface_of = dict(zip(counts, surfaces))
-            script_of = {form: to_script(surface) for form, surface in surface_of.items()}
         except ArabverbError as exc:
-            out.append(_failed(entry, exc))
+            out[i] = _failed(entry, exc)
             continue
-        paradigm = Paradigm(entry.lemma, entry.root, entry.code,
-                            tuple(map(surface_of.__getitem__, underlying)),
-                            tuple(map(script_of.__getitem__, underlying)))
-        filled[key] = entry.root, paradigm, hits, None
-        out.append((paradigm, hits))
+        renaming = _renaming(entry.root, rs.free, targets)
+        if renaming is not None:
+            underlying = _translate(underlying, renaming[0])
+        firsts[key] = i
+        pending.append((i, tuple([memo.setdefault(form, len(memo)) for form in underlying])))
+    surfaces, form_hits = rs.apply_many(list(memo))
+    del memo
+    for i, positions in pending:
+        entry = entries[i]
+        counts = Counter(positions)  # batch position -> cells, in order of first appearance
+        distinct = [surfaces[p] for p in counts]
+        renaming = _renaming(entry.root, rs.free, targets)
+        if renaming is not None:
+            distinct = _translate(distinct, renaming[1])
+        try:
+            script_of = dict(zip(counts, map(to_script, distinct)))
+        except ArabverbError as exc:
+            out[i] = _failed(entry, exc)
+            continue
+        surface_of = dict(zip(counts, distinct))
+        hits = {}
+        for p, cells in counts.items():
+            for rule_id, n in form_hits[p].items():
+                hits[rule_id] = hits.get(rule_id, 0) + cells * n
+        out[i] = Paradigm(entry.lemma, entry.root, entry.code,
+                          tuple(map(surface_of.__getitem__, positions)),
+                          tuple(map(script_of.__getitem__, positions))), hits
+    del surfaces, form_hits, pending  # so that they do not add to the peak of the renaming
+    encoded = {}  # index of a first entry -> its surfaces and scripts, encoded
+    for i, first in others:
+        entry, result = entries[i], out[first]
+        if isinstance(result, EntryFailed):
+            out[i] = _failed(entry, result.cause)
+            continue
+        paradigm, hits = result
+        if first not in encoded:  # most stand-in roots of a mixed lexicon have one entry
+            text = "\n".join(paradigm.surfaces + paradigm.scripts)
+            encoded[first] = codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
+        table = bytearray(_UNCHANGED)
+        for old, new in zip(paradigm.root, entry.root):
+            if old != new:
+                table[_BYTE[old]] = _BYTE[new]
+                table[_BYTE[SCRIPT[old]]] = _BYTE[SCRIPT[new]]
+        lines = codecs.charmap_decode(encoded[first].translate(table), "strict", _BYTE_SYMBOLS)[0].split("\n")
+        out[i] = (Paradigm(entry.lemma, entry.root, entry.code,
+                           tuple(lines[:FORMS_PER_LEMMA]), tuple(lines[FORMS_PER_LEMMA:])), hits)
     return out
 
 
@@ -396,6 +416,10 @@ def read_lexicon(path):
                 except ArabverbError as exc:
                     raise ArabverbError("line %d: %s" % (lineno, exc))
             if (lemma, code) != key:
+                try:
+                    parse_code(code)
+                except BadCode as exc:
+                    raise ArabverbError("line %d: %s" % (lineno, exc))
                 key, opened = (lemma, code), {}
             if i == 0:
                 p = [lemma, root, code, [], [], lineno]

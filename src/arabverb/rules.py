@@ -1,10 +1,11 @@
 """Ordered contextual rewrite cascade: underlying form -> surface form.
 
 Rules live in a TSV file, phonological stage before orthographic, and
-apply once each in file order.  A rule rewrites every non-overlapping
-match left to right in a single pass; the right context is not consumed,
-so chains of adjacent sites (e.g. repeated vowelless letters) still all
-fire within the pass.
+apply once each in file order, to one form (``RuleSet.apply``) or to a
+batch of forms, one per line (``RuleSet.apply_many``).  A rule rewrites
+every non-overlapping match left to right in a single pass; the right
+context is not consumed, so chains of adjacent sites (e.g. repeated
+vowelless letters) still all fire within the pass.
 
 Pattern language (one symbol per character):
   literals      any internal symbol
@@ -67,7 +68,7 @@ def _ctx_source(ctx, trailing):
     out = []
     for ch in ctx:
         if ch == "#":
-            out.append(r"\Z" if trailing else r"\A")
+            out.append("$" if trailing else "^")  # under re.M: also at a line break
         elif ch == ".":
             out.append(".")
         elif ch in _CLASS_SETS:
@@ -86,6 +87,12 @@ _NEED.update(G=frozenset("wy"), Q=HAMZA_LETTERS)
 def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment=""):
     if stage not in STAGES:
         raise BadRuleFile("rule %s: unknown stage %r" % (rule_id, stage))
+    if "\n" in pattern + replacement + left + right:
+        raise BadRuleFile("rule %s: a line break is not a symbol" % rule_id)
+    # The match consumes the left context, so a replacement puts it back.
+    # It is group 1 only if there is one: an empty group in front would hide
+    # the first class of the core from the regex engine's prefix scan.
+    shift = 1 if left else 0
     core = []
     captures = 0
     for ch in pattern:
@@ -99,25 +106,25 @@ def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment="
             if ch not in "123456789"[:captures]:
                 raise BadRuleFile("rule %s: pattern %r: digit %s names no earlier capture"
                                   % (rule_id, pattern, ch))
-            core.append("\\%d" % (int(ch) + 1))  # +1: group 1 is the core
+            core.append("\\%d" % (int(ch) + shift))
         else:
             core.append(re.escape(ch))
-    parts = []  # runs of literals, and the group number of each capture reference
+    parts = [1] if shift else []  # runs of literals, and the group number of each capture
     for ch in replacement:
         if ch.isdigit():
             if ch not in "123456789"[:captures]:
                 raise BadRuleFile("rule %s: replacement %r: digit %s names none of the %d captures of %r"
                                   % (rule_id, replacement, ch, captures, pattern))
-            parts.append(int(ch) + 1)
+            parts.append(int(ch) + shift)
         elif parts and isinstance(parts[-1], str):
             parts[-1] += ch
         else:
             parts.append(ch)
-    src = "(?:%s)(%s)(?=%s)" % (
-        _ctx_source(left, False),
-        "".join(core),
-        _ctx_source(right, True),
-    )
+    src = "".join(core)
+    if left:
+        src = "(%s)%s" % (_ctx_source(left, False), src)
+    if right:
+        src = "%s(?=%s)" % (src, _ctx_source(right, True))
     symbols = [ch for ch in pattern if ch != "." and not ch.isdigit()]
     symbols += [ch for ch in left + right if ch not in "#."]
     needs = {_NEED.get(ch, frozenset(ch)) for ch in symbols}
@@ -125,7 +132,7 @@ def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment="
     return RewriteRule(
         id=rule_id, stage=stage, pattern=pattern, replacement=replacement,
         left_ctx=left, right_ctx=right, comment=comment,
-        _rx=re.compile(src), _needs=frozenset(needs), _parts=tuple(parts),
+        _rx=re.compile(src, re.M), _needs=frozenset(needs), _parts=tuple(parts),
     )
 
 
@@ -140,13 +147,13 @@ def _rewrite(rule, form, match, hits):
     search = rule._rx.search
     n = 0
     while match is not None:
-        start, end = match.span(1)
+        start, end = match.span()
         rep = _substitute(rule, match)
         form = form[:start] + rep + form[end:]
         n += 1
-        # Resume right after the replacement.  Group 1 is never empty, so
-        # each match uses up a symbol of the form and the loop ends, also
-        # after a deletion.
+        # Resume right after the replacement, as re.sub does.  The pattern
+        # is never empty, so each match uses up a symbol of the form and
+        # the loop ends, also after a deletion.
         match = search(form, start + len(rep))
     if hits is not None:
         hits[rule.id] = hits.get(rule.id, 0) + n
@@ -225,6 +232,37 @@ class RuleSet:
                     break
             else:
                 return form
+
+    def apply_many(self, forms):
+        """``[apply(form, hits) for form in forms]`` in one batch: returns
+        the surfaces and, for each form, the dict of its rule hits.
+
+        The forms are joined by line breaks, and each rule runs once over
+        the text as one ``sub``, in cascade order.  No class and no ``.``
+        matches a line break and ``#`` matches next to one, so no match
+        crosses two forms; running the rules that a plan leaves out
+        changes nothing, since they cannot match.  The callback credits
+        each match to its line, counting the line breaks since the last.
+        """
+        text = "\n".join(forms)
+        if text.count("\n") != max(len(forms) - 1, 0):
+            raise ValueError("a form of the batch holds a line break")
+        hits = [{} for _ in forms]
+        for rule in self.rules:
+            rule_id = rule.id
+            line = last = 0
+
+            def rewrite(match):
+                nonlocal line, last
+                start = match.start()
+                line += text.count("\n", last, start)
+                last = start
+                own = hits[line]
+                own[rule_id] = own.get(rule_id, 0) + 1
+                return _substitute(rule, match)
+
+            text = rule._rx.sub(rewrite, text)
+        return (text.split("\n") if forms else []), hits
 
 
 def apply_rule(rule, form, hits=None):

@@ -17,8 +17,8 @@ class-aware repairs happen in ``preprocess``:
 
 from dataclasses import dataclass
 
-from .alphabet import CONSONANTS, SLOT_F, SLOT_V, SLOT_W
-from .errors import IllegalCell, OpOutOfRange, StringTooLong
+from .alphabet import ALPHABET, CONSONANTS, SLOT_F, SLOT_V, SLOT_W
+from .errors import IllegalCell, MalformedInternal, OpOutOfRange, StringTooLong
 from .lexicon import QUADRILITERAL, resolve_class
 
 TEMPLATES = {
@@ -192,6 +192,11 @@ def preprocess(stem, dclass, root, aspect="p", voice="act", vowel_slot=2):
 
 def build_stems(entry):
     """Compose Modules 1-5 into the five stems of an entry."""
+    # Generation joins forms with line breaks, so no symbol outside the
+    # alphabet (a line break least of all) may enter one.
+    if not ALPHABET.issuperset(entry.root):
+        bad = min(set(entry.root) - ALPHABET)
+        raise MalformedInternal("root %r: symbol %r not in alphabet" % (entry.root, bad))
     dclass = resolve_class(entry.code)
     need = 4 if dclass.label in QUADRILITERAL else 3
     if len(entry.root) != need:

@@ -177,8 +177,9 @@ def _reference_apply(ruleset, form):
             m = rule._rx.search(form, pos)
             if m is None:
                 break
-            start, end = m.span(1)
-            rep = "".join(m.group(int(ch) + 1) if ch.isdigit() else ch for ch in rule.replacement)
+            shift = 1 if rule.left_ctx else 0  # group 1 is the left context, if any
+            start, end = m.end(1) if shift else m.start(), m.end()
+            rep = "".join(m.group(int(ch) + shift) if ch.isdigit() else ch for ch in rule.replacement)
             form = form[:start] + rep + form[end:]
             hits[rule.id] = hits.get(rule.id, 0) + 1
             pos = start + len(rep)
@@ -337,3 +338,89 @@ def test_cascade_commutes_under_a_custom_rule_set(underlying_forms):
     custom = RuleSet(CUSTOM_RULES)
     assert custom.free == RuleSet([]).free - {"t"}  # d7 names t
     assert _count_broken(custom, underlying_forms, 9) == 0
+
+
+# RuleSet.apply_many runs each rule once over the forms joined by line
+# breaks; it must equal apply on each form, surfaces and rule hits alike.
+
+def _assert_batch_equals_apply(ruleset, forms):
+    """apply_many(forms) equals apply on each form; returns the ids of the
+    rules that fired."""
+    expected_surfaces, expected_hits = [], []
+    for form in forms:
+        hits = {}
+        expected_surfaces.append(ruleset.apply(form, hits))
+        expected_hits.append(hits)
+    surfaces, hits = ruleset.apply_many(forms)
+    assert surfaces == expected_surfaces
+    assert hits == expected_hits
+    return {rule_id for own in hits for rule_id in own}
+
+
+# Strings on which each #-anchored rule matches at the start or the end of
+# its form, each next to strings where it does not: in the batch its match
+# sits at a line break.
+ANCHORED = {
+    "p01": "Ákul", "p02": "yuÁkrimu", "p21": "ktub", "p22": "nfaçala", "p25": "ramaya",
+    "p26": "daçawa", "p27": "yarmiyu", "p28": "yadçuwu", "p29": "yarmiy·", "o30": "Áik·ram",
+}
+
+
+def test_batch_equals_apply_on_underlying_forms(ruleset, underlying_forms):
+    assert len(_assert_batch_equals_apply(ruleset, underlying_forms)) == 57
+    # Each form alone, and in batches of every size from 2 to 5.
+    for size in range(1, 6):
+        for start in range(0, 300, size):
+            _assert_batch_equals_apply(ruleset, underlying_forms[start:start + size])
+
+
+def test_batch_equals_apply_at_line_edges(ruleset, underlying_forms):
+    edges = []
+    for rule_id, form in ANCHORED.items():
+        assert rule_id in _assert_batch_equals_apply(ruleset, [form])
+        edges += ["k", form, "", form, "Á", "a" + form, form + "k"]
+    fired = _assert_batch_equals_apply(ruleset, edges)
+    assert set(ANCHORED) <= fired
+    rng = random.Random(12)
+    for _ in range(20):
+        rng.shuffle(edges)
+        _assert_batch_equals_apply(ruleset, edges)
+
+
+def test_batch_equals_apply_on_random_strings(ruleset, underlying_forms):
+    # Empty and one-symbol strings, then seeded strings over the alphabet.
+    strings = ["", *sorted(ALPHABET), ""] + _random_strings(13, underlying_forms)
+    fired = _assert_batch_equals_apply(ruleset, strings)
+    assert len(fired) >= 60
+    assert ruleset.apply_many([]) == ([], [])
+
+
+def test_batch_equals_apply_on_adjacent_sites(ruleset):
+    # Chains of o12 sites (a consonant before a consonant) and o08/o09
+    # doubling, alone and in runs that cross the line breaks of the batch.
+    strings = ["ktbqlm"[:n] for n in range(1, 7)] + ["k" * n for n in range(1, 8)]
+    strings += ["tbtbtb", "yaktbtbu", "madda", "mad·da", "ddd·ddd"]
+    for rule_id in ("o12", "o08", "o09"):
+        assert rule_id in _assert_batch_equals_apply(ruleset, strings)
+    surfaces, hits = ruleset.apply_many(strings)
+    assert (surfaces[5], hits[5]["o12"]) == ("Aik·t·b·q·l·m", 5)  # every site of the chain
+    assert (surfaces[11], hits[11]["o08"]) == ("Aik~k~k~", 3)  # kk kk kk: non-overlapping sites
+
+
+def test_batch_equals_apply_under_custom_rule_sets(ruleset, underlying_forms):
+    strings = underlying_forms + _random_strings(14, underlying_forms, n=1000)
+    custom = RuleSet(CUSTOM_RULES)
+    assert _assert_batch_equals_apply(custom, strings) == {rule.id for rule in CUSTOM_RULES}
+    # A rule anchored on a free consonant, one on m, and one that writes a
+    # symbol beyond Latin-1.
+    named = RuleSet((make_rule("b01", "phono", "b", "f", left="#"),
+                     make_rule("m01", "phono", "ma", "mu", left="#"))
+                    + ruleset.rules + (make_rule("k01", "ortho", "k", "\u0643"),))
+    assert {"b01", "m01", "k01"} <= _assert_batch_equals_apply(named, strings + ["bak", "maktab"])
+
+
+def test_batch_rejects_a_line_break_in_a_form(ruleset):
+    with pytest.raises(ValueError):
+        ruleset.apply_many(["ka", "k\nb"])
+    with pytest.raises(BadRuleFile):
+        make_rule("n01", "phono", "a", "\n")
