@@ -141,25 +141,6 @@ def _substitute(rule, match):
     return "".join([part if part.__class__ is str else group(part) for part in rule._parts])
 
 
-def _rewrite(rule, form, match, hits):
-    """Rewrite ``match``, the first match of ``rule`` in ``form``, and every
-    later non-overlapping one, left to right."""
-    search = rule._rx.search
-    n = 0
-    while match is not None:
-        start, end = match.span()
-        rep = _substitute(rule, match)
-        form = form[:start] + rep + form[end:]
-        n += 1
-        # Resume right after the replacement, as re.sub does.  The pattern
-        # is never empty, so each match uses up a symbol of the form and
-        # the loop ends, also after a deletion.
-        match = search(form, start + len(rep))
-    if hits is not None:
-        hits[rule.id] = hits.get(rule.id, 0) + n
-    return form
-
-
 class RuleSet:
     """An ordered cascade; phonological rules strictly precede orthographic.
 
@@ -225,9 +206,12 @@ class RuleSet:
             if after:
                 plan = plan[bisect_left(plan, (after,)):]
             for index, rule in plan:
-                match = rule._rx.search(form)
-                if match is not None:
-                    form = _rewrite(rule, form, match, hits)
+                if rule._rx.search(form) is not None:
+                    # Every non-overlapping match, left to right, in one
+                    # pass over the form as it was before the rule.
+                    form, n = rule._rx.subn(functools.partial(_substitute, rule), form)
+                    if hits is not None:
+                        hits[rule.id] = hits.get(rule.id, 0) + n
                     after = index + 1
                     break
             else:

@@ -38,6 +38,16 @@ def test_deletion_rule_rewrites_adjacent_sites():
     assert apply_rule(between, "kataba") == "ktba"
 
 
+def test_anchored_deletion_rule_fires_once():
+    # The word boundary is that of the form before the rule: deleting the
+    # first symbol does not make the next one initial.
+    rule = make_rule("x", "phono", "C", "", "#")
+    hits = {}
+    assert apply_rule(rule, "ktub", hits) == "tub"
+    assert hits == {"x": 1}
+    assert _reference_apply(RuleSet((rule,)), "ktub") == ("tub", {"x": 1})
+
+
 def test_cascade_examples():
     assert apply_cascade("qawala") == "qaAla"
     assert apply_cascade("ramaya") == "ramaY"
@@ -172,17 +182,15 @@ def _reference_apply(ruleset, form):
     the whole form for its non-overlapping matches, with no firing guard."""
     hits = {}
     for rule in ruleset.rules:
-        pos = 0
-        while pos <= len(form):
-            m = rule._rx.search(form, pos)
-            if m is None:
-                break
+        out, pos = [], 0
+        for m in rule._rx.finditer(form):
             shift = 1 if rule.left_ctx else 0  # group 1 is the left context, if any
-            start, end = m.end(1) if shift else m.start(), m.end()
+            start = m.end(1) if shift else m.start()
             rep = "".join(m.group(int(ch) + shift) if ch.isdigit() else ch for ch in rule.replacement)
-            form = form[:start] + rep + form[end:]
+            out += [form[pos:start], rep]
+            pos = m.end()
             hits[rule.id] = hits.get(rule.id, 0) + 1
-            pos = start + len(rep)
+        form = "".join(out) + form[pos:]
     return form, hits
 
 
@@ -411,12 +419,17 @@ def test_batch_equals_apply_under_custom_rule_sets(ruleset, underlying_forms):
     strings = underlying_forms + _random_strings(14, underlying_forms, n=1000)
     custom = RuleSet(CUSTOM_RULES)
     assert _assert_batch_equals_apply(custom, strings) == {rule.id for rule in CUSTOM_RULES}
-    # A rule anchored on a free consonant, one on m, and one that writes a
-    # symbol beyond Latin-1.
+    # A rule anchored on a free consonant, one on m, a deletion anchored
+    # on the word boundary alone, and one that writes a symbol beyond
+    # Latin-1.
     named = RuleSet((make_rule("b01", "phono", "b", "f", left="#"),
-                     make_rule("m01", "phono", "ma", "mu", left="#"))
+                     make_rule("m01", "phono", "ma", "mu", left="#"),
+                     make_rule("x01", "phono", "C", "", left="#"))
                     + ruleset.rules + (make_rule("k01", "ortho", "k", "\u0643"),))
-    assert {"b01", "m01", "k01"} <= _assert_batch_equals_apply(named, strings + ["bak", "maktab"])
+    extra = ["bak", "maktab", "ktub", "", "k", "ktub"]
+    assert {"b01", "m01", "x01", "k01"} <= _assert_batch_equals_apply(named, strings + extra)
+    assert _assert_batch_equals_apply(RuleSet(named.rules[2:3]), ["ktub", "ktub"]) == {"x01"}
+    assert RuleSet(named.rules[2:3]).apply_many(["ktub", "k", "ktub"]) == (["tub", "", "tub"], [{"x01": 1}] * 3)
 
 
 def test_batch_rejects_a_line_break_in_a_form(ruleset):
