@@ -6,6 +6,7 @@ index over the generator's output; nothing is parsed on the fly.
 """
 
 from collections import namedtuple
+from itertools import repeat
 
 from .alphabet import ALPHABET, SHADDA, SUKUN, VOWELS
 from .errors import LemmaNotFound
@@ -52,29 +53,58 @@ class Analysis(namedtuple("Analysis", "lemma root code label surface tag paradig
         return (self.lemma, self.code, self.paradigm, self.voice, self.tag)
 
 
+# The tag, paradigm and voice of each cell, as columns in CELLS order.
+_TAGS, _PARADIGMS, _VOICES = zip(*((cell.tag, cell.paradigm, cell.voice) for cell in CELLS))
+
+
 class FormIndex:
-    """Diacritic-stripped, lemma and root lookup over the paradigms of a Forms."""
+    """Diacritic-stripped, lemma and root lookup over the paradigms of a Forms.
+
+    ``by_lemma`` maps a lemma and a code to the surfaces tuple of each
+    record, or an ``(i, surface)`` pair for each cell a partial duplicate
+    adds.  Built one record at a time: its surfaces (none holds a line
+    break) are stripped in one call, and its analyses built from columns.
+    Identical duplicate forms collapse: a record that repeats an earlier
+    one of its (lemma, root, code) adds nothing, and one whose surfaces
+    differ adds only the cells whose surface no earlier one has there."""
 
     def __init__(self, forms):
         self.by_skeleton = by_skeleton = {}
         self.by_lemma = by_lemma = {}
         self.by_root = by_root = {}
-        seen = set()
+        size = 0
         labels = {}  # a label depends only on the code
+        indexed = {}  # (lemma, root, code) -> the surfaces of its records indexed so far
         for lemma, root, code, surfaces, _scripts in forms.paradigms:
             label = labels.get(code)
             if label is None:
                 label = labels[code] = resolve_class(code).label
-            rows = by_lemma.setdefault(lemma, {}).setdefault(code, [])
             by_root.setdefault(root, {})[(lemma, code)] = label
-            for i, (cell, surface) in enumerate(zip(CELLS, surfaces)):
-                analysis = Analysis(lemma, root, code, label, surface, cell.tag, cell.paradigm, cell.voice)
-                if analysis in seen:
-                    continue  # identical duplicate forms collapse
-                seen.add(analysis)
-                by_skeleton.setdefault(skeleton(surface), []).append(analysis)
-                rows.append((i, cell, surface))
-        self.size = len(seen)
+            earlier = indexed.setdefault((lemma, root, code), [])
+            if not earlier:
+                earlier.append(surfaces)
+                by_lemma.setdefault(lemma, {}).setdefault(code, []).append(surfaces)
+                skeletons = skeleton("\n".join(surfaces)).split("\n")
+                analyses = map(tuple.__new__, repeat(Analysis),
+                               zip(repeat(lemma), repeat(root), repeat(code), repeat(label),
+                                   surfaces, _TAGS, _PARADIGMS, _VOICES))
+                for skel, analysis in zip(skeletons, analyses):
+                    found = by_skeleton.get(skel)
+                    if found is None:
+                        by_skeleton[skel] = [analysis]
+                    else:
+                        found.append(analysis)
+                size += len(surfaces)
+            elif surfaces not in earlier:
+                fresh = [(i, surface) for i, surface in enumerate(surfaces)
+                         if all(e[i] != surface for e in earlier)]
+                earlier.append(surfaces)
+                by_lemma[lemma][code].extend(fresh)
+                for i, surface in fresh:
+                    analysis = Analysis(lemma, root, code, label, surface, _TAGS[i], _PARADIGMS[i], _VOICES[i])
+                    by_skeleton.setdefault(skeleton(surface), []).append(analysis)
+                size += len(fresh)
+        self.size = size
 
     def __len__(self):
         return self.size
@@ -101,8 +131,17 @@ def inflect_verb(index, lemma):
     if not tables:
         raise LemmaNotFound("lemma %s is not in the lexicon" % lemma)
     out = {}
-    for code, rows in sorted(tables.items()):
-        out[code] = [(cell, surface) for _, cell, surface in sorted(rows)]
+    for code, entries in sorted(tables.items()):
+        if len(entries) == 1:  # the surfaces of one record, in CELLS order
+            out[code] = list(zip(CELLS, entries[0]))
+            continue
+        rows = []
+        for entry in entries:
+            if len(entry) == 2:  # an (i, surface) pair of a partial duplicate
+                rows.append(entry)
+            else:
+                rows.extend(enumerate(entry))
+        out[code] = [(CELLS[i], surface) for i, surface in sorted(rows)]
     return out
 
 

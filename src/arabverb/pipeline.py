@@ -14,9 +14,9 @@ from operator import attrgetter
 
 from . import rules
 from .alphabet import ALPHABET, CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
-from .errors import ArabverbError, BadCode, BadLexicon, EntryFailed
+from .errors import ArabverbError, BadLexicon, EntryFailed
 from .inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, Cell, inflect
-from .lexicon import CODEBOOK, parse_code, resolve_class
+from .lexicon import CODEBOOK, resolve_class
 from .stems import VIII_ASSIMILATION, build_stems
 from .translit import SCRIPT, to_script
 
@@ -390,37 +390,51 @@ def write_lexicon(forms, path):
             fh.write("".join(map("".join, chain.from_iterable(zip(*rows)))))
 
 
-_CELL_INDEX = {(c.tag, c.paradigm, c.voice): i for i, c in enumerate(CELLS)}
+# Each cell's position in CELLS, by the last three columns of its row with
+# the line end: the tail that ``raw.split("\t", 5)`` leaves of a whole row.
+_CELL_INDEX = {tail[1:]: i for i, tail in enumerate(_CELL_TAILS)}
 
 
 def read_lexicon(path):
     """Read an inflected lexicon TSV back into a Forms; raises on a malformed
     row, naming its line.  In a run of rows of one (lemma, code), a row of
     cell 0 opens a paradigm, and a row of cell i joins the first open one of
-    its root that holds cells 0..i-1, so interleaved paradigms read back."""
+    its root that holds cells 0..i-1, so interleaved paradigms read back.
+    The class of each distinct code is resolved once.  The file streams row
+    by row; a row splits once, into five columns and its cell's tail in
+    ``_CELL_INDEX``.  Only a line that misses it (the header, a comment, a
+    blank line, a last row with no line end, a malformed row) is split in
+    full and checked."""
     paradigms = []  # [lemma, root, code, surfaces, scripts, last line] of each, as opened
-    key, opened = None, {}  # root -> the paradigms of the (lemma, code) run ``key``
+    run_lemma = run_code = None  # the (lemma, code) of the current run of rows
+    opened = {}  # root -> the paradigms of the current run
+    resolved = set()  # the codes whose class resolves
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 8:
-                raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
-            arabic, surface, lemma, root, code, tag, paradigm, voice = fields
-            i = _CELL_INDEX.get((tag, paradigm, voice))
-            if i is None:
+            fields = raw.split("\t", 5)
+            i = _CELL_INDEX.get(fields[-1])
+            if i is None or raw[0] == "#":
+                line = raw.rstrip("\n")
+                if not line or line[0] == "#":
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 8:
+                    raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
                 try:
-                    Cell(tag, paradigm, voice)  # raises: CELLS has every legal cell
+                    Cell(*fields[5:])  # raises for an illegal cell
                 except ArabverbError as exc:
                     raise ArabverbError("line %d: %s" % (lineno, exc))
-            if (lemma, code) != key:
-                try:
-                    parse_code(code)
-                except BadCode as exc:
-                    raise ArabverbError("line %d: %s" % (lineno, exc))
-                key, opened = (lemma, code), {}
+                fields = (line + "\n").split("\t", 5)
+                i = _CELL_INDEX[fields[5]]
+            arabic, surface, lemma, root, code, _tail = fields
+            if lemma != run_lemma or code != run_code:
+                if code not in resolved:
+                    try:
+                        resolve_class(code)
+                    except ArabverbError as exc:
+                        raise ArabverbError("line %d: %s" % (lineno, exc))
+                    resolved.add(code)
+                run_lemma, run_code, opened = lemma, code, {}
             if i == 0:
                 p = [lemma, root, code, [], [], lineno]
                 paradigms.append(p)

@@ -216,10 +216,17 @@ class ReferenceIndex:
 
 
 def ordered(index):
-    """The three maps as nested lists, so that key order counts."""
+    """The maps as nested lists, so that key order counts: by_skeleton and
+    by_root whole, by_lemma as its lemma and code keys."""
     return (list(index.by_skeleton.items()),
-            [(lemma, list(tables.items())) for lemma, tables in index.by_lemma.items()],
+            [(lemma, list(tables)) for lemma, tables in index.by_lemma.items()],
             [(root, list(found.items())) for root, found in index.by_root.items()])
+
+
+def reference_tables(reference, lemma):
+    """What inflect_verb gives for ``lemma``, from the reference's rows."""
+    return {code: [(cell, surface) for _, cell, surface in sorted(rows)]
+            for code, rows in sorted(reference.by_lemma[lemma].items())}
 
 
 def shuffled_with_repeats(forms, seed):
@@ -232,8 +239,15 @@ def shuffled_with_repeats(forms, seed):
 def test_index_equals_the_per_row_build(sample_forms, gold_forms):
     duplicates, stats = pipeline.generate_all(_duplicate_entries())
     assert not stats.failures
-    first = sample_forms.paradigms[0]
-    changed = first._replace(surfaces=first.surfaces[:40] + ("x",) + first.surfaces[41:])
+    first, other = sample_forms.paradigms[:2]
+
+    def changed(record, cells):
+        """``record`` with the surface of each cell i in ``cells`` replaced."""
+        surfaces = list(record.surfaces)
+        for i, surface in cells.items():
+            surfaces[i] = surface
+        return record._replace(surfaces=tuple(surfaces))
+
     cases = [
         sample_forms,
         Forms(gold_forms.paradigms + sample_forms.paradigms),
@@ -241,12 +255,22 @@ def test_index_equals_the_per_row_build(sample_forms, gold_forms):
         shuffled_with_repeats(gold_forms, 2),
         duplicates,
         # 108 of the copy's analyses repeat the first paradigm's and collapse
-        Forms([first, changed]),
+        Forms([first, changed(first, {40: "x"})]),
+        # a whole repeat after another record adds nothing
+        Forms([first, other, first]),
+        # after a partial duplicate, a whole repeat of either adds nothing
+        Forms([first, changed(first, {40: "x"}), first]),
+        Forms([first, changed(first, {40: "x"}), changed(first, {40: "x"})]),
+        # a third record is checked against the cells of both earlier ones
+        Forms([first, changed(first, {40: "x"}), changed(first, {40: "x", 0: "y", 108: "z"}),
+               changed(first, {0: "y", 1: "w"})]),
     ]
     for forms in cases:
         index, reference = FormIndex(forms), ReferenceIndex(forms)
         assert ordered(index) == ordered(reference)
         assert len(index) == reference.size
+        for lemma in reference.by_lemma:
+            assert inflect_verb(index, lemma) == reference_tables(reference, lemma)
 
 
 @pytest.mark.parametrize("seed", range(5))

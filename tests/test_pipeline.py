@@ -272,6 +272,55 @@ def test_read_names_the_line_of_a_short_row(tmp_path, sample_forms):
         pipeline.read_lexicon(path.as_posix())
 
 
+# read_lexicon splits a row once and looks its cell up by the row's tail;
+# any line whose tail is not a legal cell's with its line end takes the
+# full split and check.  Each case gives the same forms or message as a
+# reader that splits every line in full.
+
+def _edit_rows(lines, case):
+    """The TSV ``lines`` (header first, one paradigm of 109 rows after it)
+    edited for ``case``, and the bytes to write."""
+    if case == "no final newline":
+        return "\n".join(lines).encode("utf-8")
+    if case == "CRLF":
+        return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+    if case == "comment row with a legal cell":
+        assert lines[50].split("\t")[5:] == [CELLS[49].tag, CELLS[49].paradigm, CELLS[49].voice]
+        lines[50:50] = ["#" + lines[50]]
+    elif case == "blank lines":
+        lines[50:50] = ["", ""]
+        lines.append("")
+    elif case == "7 columns":
+        lines[60] = lines[60].rsplit("\t", 1)[0]
+    elif case == "9 columns at the end":
+        lines[60] += "\tACT"
+    elif case == "9 columns at the start":
+        lines[60] = "x\t" + lines[60]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("case, error", [
+    ("no final newline", None),
+    ("CRLF", None),
+    ("comment row with a legal cell", None),
+    ("blank lines", None),
+    ("7 columns", "line 61: expected 8 columns, got 7"),
+    ("9 columns at the end", "line 61: expected 8 columns, got 9"),
+    ("9 columns at the start", "line 61: expected 8 columns, got 9"),
+])
+def test_read_lines_that_are_not_whole_rows(tmp_path, sample_forms, case, error):
+    forms = pipeline.Forms(sample_forms.paradigms[:1])
+    path = tmp_path / "inflected.tsv"
+    pipeline.write_lexicon(forms, path.as_posix())
+    path.write_bytes(_edit_rows(path.read_text(encoding="utf-8").splitlines(), case))
+    if error is None:
+        assert pipeline.read_lexicon(path.as_posix()) == forms
+    else:
+        with pytest.raises(ArabverbError) as err:
+            pipeline.read_lexicon(path.as_posix())
+        assert str(err.value) == error
+
+
 # read_lexicon groups the rows of each (lemma, code) run back into the
 # paradigms that write_lexicon interleaved cell by cell.
 
@@ -307,22 +356,26 @@ def test_read_names_the_line_of_a_dropped_row(tmp_path, sample_forms):
         pipeline.read_lexicon(path.as_posix())
 
 
-# The code column is checked once per (lemma, code) run of rows.
+# The code column is checked once per (lemma, code) run of rows: the code
+# must parse, and the codebook must hold its class.
 @pytest.mark.parametrize("rows", ["every row", "one row"])
 def test_read_names_the_line_of_a_bad_code(tmp_path, sample_forms, rows):
     path = tmp_path / "bad.tsv"
     paradigm = sample_forms.paradigms[0]
     pipeline.write_lexicon(pipeline.Forms([paradigm]), path.as_posix())
-    lines = path.read_text(encoding="utf-8").splitlines()
-    tab_code, tab_bad = "\t%s\t" % paradigm.code, "\t%s9\t" % paradigm.code[:6]
-    where = range(1, len(lines)) if rows == "every row" else [50]
-    for i in where:
-        assert tab_code in lines[i]
-        lines[i] = lines[i].replace(tab_code, tab_bad)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ArabverbError, match="^line %d: vowel digit of '%s9' out of range$"
-                       % (where[0] + 1, paradigm.code[:6])):
-        pipeline.read_lexicon(path.as_posix())
+    written = path.read_text(encoding="utf-8").splitlines()
+    where = range(1, len(written)) if rows == "every row" else [50]
+    for bad, message in [("00L0009", "vowel digit of '00L0009' out of range"),
+                         ("00L1003", "no codebook row for digits 00_1 with template L")]:
+        lines = list(written)
+        tab_code, tab_bad = "\t%s\t" % paradigm.code, "\t%s\t" % bad
+        for i in where:
+            assert tab_code in lines[i]
+            lines[i] = lines[i].replace(tab_code, tab_bad)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ArabverbError) as err:
+            pipeline.read_lexicon(path.as_posix())
+        assert str(err.value) == "line %d: %s" % (where[0] + 1, message)
 
 
 @pytest.mark.parametrize("where", ["before the next entry", "at the end"])
