@@ -6,8 +6,6 @@ after shared Unicode-level normalization (the internal transliteration
 is already canonical).
 """
 
-from dataclasses import dataclass
-
 from .errors import BadLexicon
 from .inflect import CELLS
 
@@ -18,12 +16,12 @@ from .inflect import CELLS
 # offers variant surfaces.
 
 
-@dataclass
 class EvalReport:
-    correct: int = 0
-    incorrect: int = 0
-    no_data: int = 0
-    excluded: int = 0
+    def __init__(self, correct=0, incorrect=0, no_data=0, excluded=0):
+        self.correct = correct
+        self.incorrect = incorrect
+        self.no_data = no_data
+        self.excluded = excluded
 
     @property
     def total(self):

@@ -6,8 +6,6 @@ vowels and the vowellessness mark directly; all surface repair is left
 to the rewrite cascade.
 """
 
-from dataclasses import dataclass
-
 from .errors import IllegalCell
 
 TAGS = ("3SM", "3SF", "3DM", "3DF", "3PM", "3PF",
@@ -53,17 +51,39 @@ MOOD_SUFFIX = {
 IMPV_SUFFIX = {"2SM": "·", "2SF": "iy", "2DN": "aA", "2PM": "uwA", "2PF": "·na"}
 
 
-@dataclass(frozen=True)
 class Cell:
-    tag: str
-    paradigm: str
-    voice: str
+    """One legal cell of the chart.  Immutable, and equal and hashed by its
+    tag, paradigm and voice.  Not a tuple, so that ``"%s" % cell`` formats
+    the cell instead of spreading its fields over the format."""
 
-    def __post_init__(self):
-        if self.tag not in TAGS or self.paradigm not in PARADIGMS or self.voice not in VOICES:
-            raise IllegalCell("bad cell %s %s %s" % (self.tag, self.paradigm, self.voice))
-        if self.paradigm == "IMPV" and (self.voice != "ACT" or not self.tag.startswith("2")):
+    __slots__ = ("tag", "paradigm", "voice")
+
+    def __init__(self, tag, paradigm, voice):
+        if tag not in TAGS or paradigm not in PARADIGMS or voice not in VOICES:
+            raise IllegalCell("bad cell %s %s %s" % (tag, paradigm, voice))
+        if paradigm == "IMPV" and (voice != "ACT" or not tag.startswith("2")):
             raise IllegalCell("imperative is active second person only")
+        for name, value in zip(self.__slots__, (tag, paradigm, voice)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("field %r of a Cell is read-only" % name)
+
+    __delattr__ = __setattr__  # with value=None, deletion raises alike
+
+    def __eq__(self, other):
+        if other.__class__ is not Cell:
+            return NotImplemented
+        return (self.tag, self.paradigm, self.voice) == (other.tag, other.paradigm, other.voice)
+
+    def __hash__(self):
+        return hash((self.tag, self.paradigm, self.voice))
+
+    def __reduce__(self):
+        return Cell, (self.tag, self.paradigm, self.voice)
+
+    def __repr__(self):
+        return "Cell(tag=%r, paradigm=%r, voice=%r)" % (self.tag, self.paradigm, self.voice)
 
     def __str__(self):
         return "%s %s %s" % (self.tag, self.paradigm, self.voice)

@@ -7,7 +7,7 @@ vowels (0 keeps the class default).  Six-character legacy codes are
 accepted and right-padded with a default vowel digit.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .alphabet import CONSONANTS
 from .errors import ArabverbError, BadCode, BadLexicon, NoEntries, UnknownClass
@@ -71,22 +71,18 @@ _ISTEM_W_A = frozenset(["V", "VI", "QII"])
 QUADRILITERAL = frozenset(["QI", "QII", "QIII", "QIV"])
 
 
-@dataclass(frozen=True)
-class DerivClass:
-    label: str
-    ops: tuple
-    template_type: str
-    ta_prefix: bool
-    p_vowels: tuple  # (V, W) of the active perfective stem
-    i_vowels: tuple  # (V, W) of the active imperfective stem
+class DerivClass(namedtuple("DerivClass", "label ops template_type ta_prefix p_vowels i_vowels")):
+    """A resolved code; p_vowels and i_vowels are the (V, W) of the active
+    perfective and imperfective stems."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
-    lemma: str  # internal, fully diacritized 3SM perfective active
-    root: str  # 3-4 radical symbols
-    code: str  # 7 characters, as parse_code returns it
-    gloss: str = ""
+class LexiconEntry(namedtuple("LexiconEntry", "lemma root code gloss", defaults=("",))):
+    """The lemma (internal, fully diacritized 3SM perfective active), its
+    root of 3-4 radicals and its 7-character code, as parse_code returns it."""
+
+    __slots__ = ()
 
     def key(self):
         return (self.lemma, self.code)
@@ -162,10 +158,10 @@ def parse_root(text):
     return root
 
 
-@dataclass
 class LoadReport:
-    entries: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)  # (lineno, message)
+    def __init__(self):
+        self.entries = []
+        self.diagnostics = []  # (lineno, message)
 
 
 def load_lexicon(path):

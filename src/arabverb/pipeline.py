@@ -8,7 +8,6 @@ import codecs
 import functools
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from operator import attrgetter
 
@@ -23,14 +22,8 @@ from .translit import SCRIPT, to_script
 FORMS_PER_LEMMA = len(CELLS)  # 109
 
 
-@dataclass(frozen=True, slots=True)
-class InflectedForm:
-    surface: str
-    surface_arabic: str
-    lemma: str
-    root: str
-    code: str
-    cell: Cell
+class InflectedForm(namedtuple("InflectedForm", "surface surface_arabic lemma root code cell")):
+    __slots__ = ()
 
 
 class Paradigm(namedtuple("Paradigm", "lemma root code surfaces scripts")):
@@ -73,13 +66,13 @@ class Forms(Sequence):
         return self.paradigms == other.paradigms
 
 
-@dataclass
 class GenStats:
-    lemma_count: int = 0
-    form_count: int = 0
-    pattern_histogram: dict = field(default_factory=dict)
-    rule_hits: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    def __init__(self):
+        self.lemma_count = 0
+        self.form_count = 0
+        self.pattern_histogram = {}
+        self.rule_hits = {}
+        self.failures = []
 
     @property
     def forms_per_lemma(self):

@@ -30,7 +30,7 @@ import functools
 import os
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .alphabet import CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
 from .errors import BadRuleFile, StageOrderError
@@ -49,18 +49,13 @@ _CLASS_SETS = {
 STAGES = ("phono", "ortho")
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    id: str
-    stage: str
-    pattern: str
-    replacement: str
-    left_ctx: str
-    right_ctx: str
-    comment: str = ""
-    _rx: object = field(default=None, compare=False, repr=False)
-    _needs: frozenset = field(default=frozenset(), compare=False, repr=False)
-    _parts: tuple = field(default=(), compare=False, repr=False)
+class RewriteRule(namedtuple("RewriteRule", "id stage pattern replacement left_ctx right_ctx comment "
+                                            "rx needs parts", defaults=("", None, frozenset(), ()))):
+    """A rule: the seven columns of its row, and the regex, needs and
+    replacement parts that make_rule compiles from them.  Those three are
+    equal whenever the seven are, so rules compare by their row."""
+
+    __slots__ = ()
 
 
 def _ctx_source(ctx, trailing):
@@ -132,13 +127,13 @@ def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment="
     return RewriteRule(
         id=rule_id, stage=stage, pattern=pattern, replacement=replacement,
         left_ctx=left, right_ctx=right, comment=comment,
-        _rx=re.compile(src, re.M), _needs=frozenset(needs), _parts=tuple(parts),
+        rx=re.compile(src, re.M), needs=frozenset(needs), parts=tuple(parts),
     )
 
 
 def _substitute(rule, match):
     group = match.group
-    return "".join([part if part.__class__ is str else group(part) for part in rule._parts])
+    return "".join([part if part.__class__ is str else group(part) for part in rule.parts])
 
 
 class RuleSet:
@@ -169,7 +164,7 @@ class RuleSet:
                 )
         self.rules = tuple(rules)
         self._pairs = tuple(enumerate(self.rules))
-        self._needed = frozenset().union(*(n for r in self.rules for n in r._needs))
+        self._needed = frozenset().union(*(n for r in self.rules for n in r.needs))
         self._plans = {}
         named = set()
         for rule in self.rules:
@@ -189,7 +184,7 @@ class RuleSet:
         """The (index, rule) pairs whose needs the needed symbols ``key`` meet."""
         plan = self._plans[key] = tuple(
             pair for pair in self._pairs
-            if all(not key.isdisjoint(need) for need in pair[1]._needs))
+            if all(not key.isdisjoint(need) for need in pair[1].needs))
         return plan
 
     def apply(self, form, hits=None):
@@ -206,10 +201,10 @@ class RuleSet:
             if after:
                 plan = plan[bisect_left(plan, (after,)):]
             for index, rule in plan:
-                if rule._rx.search(form) is not None:
+                if rule.rx.search(form) is not None:
                     # Every non-overlapping match, left to right, in one
                     # pass over the form as it was before the rule.
-                    form, n = rule._rx.subn(functools.partial(_substitute, rule), form)
+                    form, n = rule.rx.subn(functools.partial(_substitute, rule), form)
                     if hits is not None:
                         hits[rule.id] = hits.get(rule.id, 0) + n
                     after = index + 1
@@ -245,7 +240,7 @@ class RuleSet:
                 own[rule_id] = own.get(rule_id, 0) + 1
                 return _substitute(rule, match)
 
-            text = rule._rx.sub(rewrite, text)
+            text = rule.rx.sub(rewrite, text)
         return (text.split("\n") if forms else []), hits
 
 
@@ -255,7 +250,8 @@ def apply_rule(rule, form, hits=None):
 
 
 def load_rules(path=None):
-    """Load a rule TSV: id, stage, pattern, replacement, left, right, comment."""
+    """Load a rule TSV: id, stage, pattern, replacement, left, right, comment.
+    A file that holds no rule is a BadRuleFile."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "surface_rules.tsv")
     with open(path, encoding="utf-8") as fh:
@@ -275,6 +271,8 @@ def load_rules(path=None):
             rules.append(make_rule(rule_id, stage, pattern, replacement, left, right, comment))
         except (BadRuleFile, re.error) as exc:
             raise BadRuleFile("rule file line %d: %s" % (lineno, exc)) from None
+    if not rules:
+        raise BadRuleFile("rule file %s holds no rule" % path)
     return RuleSet(rules)
 
 

@@ -15,7 +15,7 @@ class-aware repairs happen in ``preprocess``:
 * shift of a final radical w to y in the derived patterns.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .alphabet import ALPHABET, CONSONANTS, SLOT_F, SLOT_V, SLOT_W
 from .errors import IllegalCell, MalformedInternal, OpOutOfRange, StringTooLong
@@ -40,13 +40,8 @@ VIII_ASSIMILATION = {
 }
 
 
-@dataclass(frozen=True)
-class StemSet:
-    p_act: str
-    i_act: str
-    m_act: str
-    p_pas: str
-    i_pas: str
+class StemSet(namedtuple("StemSet", "p_act i_act m_act p_pas i_pas")):
+    __slots__ = ()
 
 
 def merge(root, ops):

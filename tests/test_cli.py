@@ -117,6 +117,21 @@ def test_generate_rejects_rule_naming_a_missing_capture(tmp_path, capsys, replac
     assert not out.exists()
 
 
+# A rule file with no rule (empty, or only comments) used to load as the
+# identity cascade, and generate wrote unrewritten surfaces with exit 0.
+@pytest.mark.parametrize("text", ["", "# comments only\n\n"], ids=["empty", "comments-only"])
+def test_generate_rejects_rule_file_without_rules(tmp_path, capsys, text):
+    rules = tmp_path / "rules.tsv"
+    rules.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    rc = main(["generate", "--lexicon", SAMPLE_LEXICON, "--rules", rules.as_posix(),
+               "--out", out.as_posix()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and rules.as_posix() in err
+    assert not out.exists()
+
+
 def test_inflect_lemma(capsys):
     rc = main(["inflect", "--lemma", "فَعَلَ", "--voice", "act"])
     assert rc == 0

@@ -3,6 +3,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from arabverb import errors, pipeline, rules
 from arabverb.alphabet import CONSONANTS
 from arabverb.errors import ArabverbError, EntryFailed
-from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, inflect
+from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, Cell, inflect
 from arabverb.lexicon import CODEBOOK, QUADRILITERAL, LexiconEntry, parse_code, resolve_class
 from arabverb.stems import VIII_ASSIMILATION, build_stems
 from arabverb.translit import to_script
@@ -394,10 +395,13 @@ def test_read_names_the_last_line_of_a_truncated_entry(tmp_path, sample_forms, w
 
 
 def test_import_leaves_out_multiprocessing_and_typing():
-    # -S: without site, whose own imports would hide what arabverb imports.
+    # Every CLI call is a fresh process.  Only a pool needs multiprocessing,
+    # and dataclasses would load inspect, ast and dis.  -S: without site,
+    # whose own imports would hide what arabverb imports.
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
-    code = ("import sys; sys.path.insert(0, %r); import arabverb; "
-            "print(sorted({'multiprocessing', 'typing'} & set(sys.modules)))" % src)
+    code = ("import sys; sys.path.insert(0, %r); import arabverb.cli; "
+            "print(sorted({'multiprocessing', 'typing', 'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+            % src)
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
@@ -474,15 +478,55 @@ def test_pattern_labels_cover_both_templates(sample_entries):
     assert len(labels) == 24
 
 
-def test_inflected_form_pickles_compares_and_hashes(sample_forms):
-    form = sample_forms[7]
-    back = pickle.loads(pickle.dumps(form))
-    assert back == form and back is not form
-    assert hash(back) == hash(form)
-    assert back != sample_forms[8]
-    assert len(set(sample_forms)) == len(sample_forms)
+def _rule_cases(forms, entries):
+    """A rule of a RuleSet that is not the default one; the same rule made
+    anew, with a regex that is equal but not the same object; and the
+    other rule, and one that differs only in its comment."""
+    made = [("p1", "phono", "K", "1", "", "#", "final consonant"), ("o1", "ortho", "w", "y", "u", "")]
+    ruleset = rules.RuleSet([rules.make_rule(*args) for args in made])
+    rule = pickle.loads(pickle.dumps(ruleset)).rules[0]
+    re.purge()
+    again = rules.make_rule(*made[0])
+    assert again.rx is not rule.rx
+    return rule, [again], [ruleset.rules[1], rules.make_rule(*made[0][:6], "other")]
+
+
+# Each immutable record: one record, the values that must equal it, the
+# ones that must not, and a field that no assignment may change.  Cell is
+# not a tuple, so that "%s" % cell formats the cell, and no tuple equals it.
+RECORDS = {
+    "InflectedForm": lambda forms, entries: (
+        forms[7], [pipeline.InflectedForm(*forms[7])], forms[:7] + forms[8:]),
+    "Cell": lambda forms, entries: (CELLS[0], [Cell("3SM", "PERF", "ACT")],
+                                    [*CELLS[1:], ("3SM", "PERF", "ACT")]),
+    "LexiconEntry": lambda forms, entries: (entries[0], [LexiconEntry(*entries[0])], entries[1:]),
+    "StemSet": lambda forms, entries: (build_stems(entries[0]), [build_stems(entries[0])],
+                                       [build_stems(e) for e in entries[1:8]]),  # two later ones coincide
+    "DerivClass": lambda forms, entries: (resolve_class(entries[0].code), [resolve_class(entries[0].code)],
+                                          [resolve_class(e.code) for e in entries[1:]]),
+    "RewriteRule": _rule_cases,
+}
+FIELDS = {"InflectedForm": "surface", "Cell": "tag", "LexiconEntry": "gloss", "StemSet": "p_act",
+          "DerivClass": "label", "RewriteRule": "rx"}
+
+
+# A record that a pool worker cannot unpickle loses its task in Pool.map,
+# and generate_all(workers=2) then hangs; a round trip here fails at once.
+@pytest.mark.parametrize("kind", RECORDS)
+def test_inflected_form_pickles_compares_and_hashes(sample_forms, sample_entries, kind):
+    record, equal, unequal = RECORDS[kind](sample_forms, sample_entries)
+    back = pickle.loads(pickle.dumps(record))
+    assert back == record and back is not record and type(back) is type(record)
+    for value in [back, *equal]:
+        assert value == record and hash(value) == hash(record)
+    assert all(value != record for value in unequal)
+    assert len({record, *unequal}) == 1 + len(unequal)
     with pytest.raises(AttributeError):
-        form.surface = "x"
+        setattr(record, FIELDS[kind], "x")
+    if kind == "Cell":
+        assert "%s" % record == "3SM PERF ACT"
+        with pytest.raises(AttributeError):
+            del record.tag
 
 
 # Paradigm cache: generate_all expands the first entry of each (code,

@@ -183,7 +183,7 @@ def _reference_apply(ruleset, form):
     hits = {}
     for rule in ruleset.rules:
         out, pos = [], 0
-        for m in rule._rx.finditer(form):
+        for m in rule.rx.finditer(form):
             shift = 1 if rule.left_ctx else 0  # group 1 is the left context, if any
             start = m.end(1) if shift else m.start()
             rep = "".join(m.group(int(ch) + shift) if ch.isdigit() else ch for ch in rule.replacement)
