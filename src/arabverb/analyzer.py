@@ -75,7 +75,7 @@ class FormIndex:
         size = 0
         labels = {}  # a label depends only on the code
         indexed = {}  # (lemma, root, code) -> the surfaces of its records indexed so far
-        for lemma, root, code, surfaces, _scripts in forms.paradigms:
+        for lemma, root, code, surfaces in forms.paradigms:
             label = labels.get(code)
             if label is None:
                 label = labels[code] = resolve_class(code).label

@@ -4,7 +4,6 @@ TSV lexicon.  Generated and read-back forms are kept as one Paradigm
 record per entry.
 """
 
-import codecs
 import functools
 from collections import Counter, namedtuple
 from collections.abc import Sequence
@@ -12,12 +11,12 @@ from itertools import chain, groupby, repeat
 from operator import attrgetter
 
 from . import rules
-from .alphabet import ALPHABET, CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
+from .alphabet import CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
 from .errors import ArabverbError, BadLexicon, EntryFailed
 from .inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, Cell, inflect
 from .lexicon import CODEBOOK, resolve_class
 from .stems import VIII_ASSIMILATION, build_stems
-from .translit import SCRIPT, to_script
+from .translit import check_internal, to_script, to_scripts
 
 FORMS_PER_LEMMA = len(CELLS)  # 109
 
@@ -26,17 +25,17 @@ class InflectedForm(namedtuple("InflectedForm", "surface surface_arabic lemma ro
     __slots__ = ()
 
 
-class Paradigm(namedtuple("Paradigm", "lemma root code surfaces scripts")):
-    """The 109 forms of one entry: its surfaces and their scripts, two
-    tuples in CELLS order, under the lemma, root and code they share."""
+class Paradigm(namedtuple("Paradigm", "lemma root code surfaces")):
+    """The 109 surfaces of one entry, a tuple in CELLS order, under the lemma,
+    root and code they share.  Scripts are derived where they are used."""
 
     __slots__ = ()
 
 
 class Forms(Sequence):
-    """A read-only sequence of the forms of ``paradigms``: an InflectedForm
-    for each cell of each paradigm, paradigm by paradigm, in CELLS order.
-    Equal when the paradigms are equal."""
+    """A read-only sequence of the forms of ``paradigms``: an InflectedForm,
+    its script derived, for each cell of each paradigm, paradigm by paradigm,
+    in CELLS order.  Equal when the paradigms are equal."""
 
     __slots__ = ("paradigms",)
 
@@ -53,11 +52,11 @@ class Forms(Sequence):
         # raises IndexError for an index out of range.
         q, i = divmod(index, FORMS_PER_LEMMA)
         p = self.paradigms[q]
-        return InflectedForm(p.surfaces[i], p.scripts[i], p.lemma, p.root, p.code, CELLS[i])
+        return InflectedForm(p.surfaces[i], *to_scripts(p.surfaces[i:i + 1]), p.lemma, p.root, p.code, CELLS[i])
 
     def __iter__(self):
         for p in self.paradigms:
-            yield from map(InflectedForm, p.surfaces, p.scripts, repeat(p.lemma),
+            yield from map(InflectedForm, p.surfaces, to_scripts(p.surfaces), repeat(p.lemma),
                            repeat(p.root), repeat(p.code), CELLS)
 
     def __eq__(self, other):
@@ -165,12 +164,6 @@ def stand_in_root(root, free):
     return "".join(renamed.get(radical, radical) for radical in root)
 
 
-# One byte per symbol of the internal alphabet, of its script and of the
-# line break, so that renaming the radicals of a paradigm is one
-# bytes.translate instead of a str.translate that looks up every character.
-_BYTE_SYMBOLS = "\n" + "".join(sorted(ALPHABET)) + "".join(sorted(SCRIPT[c] for c in ALPHABET))
-_BYTE = {ch: i for i, ch in enumerate(_BYTE_SYMBOLS)}
-_TO_BYTES = codecs.charmap_build(_BYTE_SYMBOLS)
 _UNCHANGED = bytes(range(256))
 
 
@@ -205,8 +198,8 @@ def _renaming(root, free, targets):
 def _translate(strings, table):
     """``strings`` renamed by the byte table ``table``, in one batch.  The
     internal alphabet is Latin-1, so each symbol is its own byte; a symbol
-    beyond it, which only a rule can write, is left as it is, and to_script
-    rejects it."""
+    beyond it, which only a rule can write, is left as it is, and
+    check_internal rejects it."""
     text = "\n".join(strings)
     try:
         text = text.encode("latin-1").translate(table).decode("latin-1")
@@ -223,15 +216,14 @@ def _expand_code(entries, ruleset, stand, targets):
     root (over ``stand``), renamed so that ``targets``, which orders
     ``RuleSet.free`` stand-ins first, take its free radicals; the code's
     distinct renamed forms are cascaded in one batch.  Pass 2 builds the
-    paradigm of each first entry from the batch, and then gives each other
-    entry of its stand-in root the same forms with its own radicals, in
-    the surfaces and the scripts alike: to_script maps one symbol at a
-    time, and well_formed does not change when one consonant replaces
-    another.  So the other entries of a first entry that fails in
-    to_script fail as it does.  An entry that fails in pass 1 fills no
-    stand-in root, so the next entry of it is expanded in turn and its
-    failure names its own root.  Module-level so that a process pool can
-    send it to its workers.
+    paradigm of each first entry from the batch, each distinct surface
+    checked by check_internal, and then gives each other entry of its
+    stand-in root the same surfaces with its own radicals: well_formed does
+    not change when one consonant replaces another, so the other entries of
+    a first entry that fails fail as it does.  An entry that fails in pass 1
+    fills no stand-in root, so the next entry of it is expanded in turn and
+    its failure names its own root.  Module-level so that a process pool
+    can send it to its workers.
     """
     rs = ruleset if ruleset is not None else rules.default_rules()
     out = [None] * len(entries)
@@ -265,7 +257,8 @@ def _expand_code(entries, ruleset, stand, targets):
         if renaming is not None:
             distinct = _translate(distinct, renaming[1])
         try:
-            script_of = dict(zip(counts, map(to_script, distinct)))
+            for surface in distinct:
+                check_internal(surface)
         except ArabverbError as exc:
             out[i] = _failed(entry, exc)
             continue
@@ -275,27 +268,18 @@ def _expand_code(entries, ruleset, stand, targets):
             for rule_id, n in form_hits[p].items():
                 hits[rule_id] = hits.get(rule_id, 0) + cells * n
         out[i] = Paradigm(entry.lemma, entry.root, entry.code,
-                          tuple(map(surface_of.__getitem__, positions)),
-                          tuple(map(script_of.__getitem__, positions))), hits
+                          tuple(map(surface_of.__getitem__, positions))), hits
     del surfaces, form_hits, pending  # so that they do not add to the peak of the renaming
-    encoded = {}  # index of a first entry -> its surfaces and scripts, encoded
     for i, first in others:
         entry, result = entries[i], out[first]
         if isinstance(result, EntryFailed):
             out[i] = _failed(entry, result.cause)
             continue
         paradigm, hits = result
-        if first not in encoded:  # most stand-in roots of a mixed lexicon have one entry
-            text = "\n".join(paradigm.surfaces + paradigm.scripts)
-            encoded[first] = codecs.charmap_encode(text, "strict", _TO_BYTES)[0]
         table = bytearray(_UNCHANGED)
         for old, new in zip(paradigm.root, entry.root):
-            if old != new:
-                table[_BYTE[old]] = _BYTE[new]
-                table[_BYTE[SCRIPT[old]]] = _BYTE[SCRIPT[new]]
-        lines = codecs.charmap_decode(encoded[first].translate(table), "strict", _BYTE_SYMBOLS)[0].split("\n")
-        out[i] = (Paradigm(entry.lemma, entry.root, entry.code,
-                           tuple(lines[:FORMS_PER_LEMMA]), tuple(lines[FORMS_PER_LEMMA:])), hits)
+            table[ord(old)] = ord(new)
+        out[i] = Paradigm(entry.lemma, entry.root, entry.code, tuple(_translate(paradigm.surfaces, table))), hits
     return out
 
 
@@ -333,7 +317,6 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
             results[i] = result
     stats = GenStats()
     paradigms = []
-    labels = {}
     for entry, result in zip(entries, results):
         if isinstance(result, EntryFailed):
             stats.failures.append(result)
@@ -344,18 +327,13 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
                 "lemma %s does not regenerate (got %s)" % (entry.lemma, paradigm.surfaces[0]))))
             continue
         paradigms.append(paradigm)
-        if entry.code not in labels:
-            labels[entry.code] = resolve_class(entry.code).label
-        _count(stats, labels[entry.code], hits)
+        for rule_id, n in hits.items():
+            stats.rule_hits[rule_id] = stats.rule_hits.get(rule_id, 0) + n
+    for code, n in Counter(p.code for p in paradigms).items():  # a label depends only on the code
+        label = resolve_class(code).label
+        stats.pattern_histogram[label] = stats.pattern_histogram.get(label, 0) + n
+    stats.lemma_count, stats.form_count = len(paradigms), FORMS_PER_LEMMA * len(paradigms)
     return Forms(paradigms), stats
-
-
-def _count(stats, label, hits):
-    stats.lemma_count += 1
-    stats.form_count += FORMS_PER_LEMMA
-    stats.pattern_histogram[label] = stats.pattern_histogram.get(label, 0) + 1
-    for rule_id, n in hits.items():
-        stats.rule_hits[rule_id] = stats.rule_hits.get(rule_id, 0) + n
 
 
 HEADER = "# surface_arabic\tsurface\tlemma\troot\tcode\ttag\tparadigm\tvoice"
@@ -370,14 +348,15 @@ def write_lexicon(forms, path):
     (lemma, code, cell): the paradigms sorted stably by (lemma, code), and
     the paradigms of one (lemma, code) cell by cell, in input order within
     a cell, as a stable sort of the forms would give.  Each group is
-    written as it is formatted, so that no string holds the whole file."""
+    written as it is formatted, so that no string holds the whole file.
+    The script column is derived from the surfaces (translit.to_scripts)."""
     by_entry = attrgetter("lemma", "code")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(HEADER + "\n")
         for _key, group in groupby(sorted(forms.paradigms, key=by_entry), by_entry):
             # The row pieces of each paradigm, cell by cell; zip(*rows)
             # interleaves the paradigms of the group within each cell.
-            rows = [zip(p.scripts, repeat("\t"), p.surfaces,
+            rows = [zip(to_scripts(p.surfaces), repeat("\t"), p.surfaces,
                         repeat("\t%s\t%s\t%s" % (p.lemma, p.root, p.code)), _CELL_TAILS)
                     for p in group]
             fh.write("".join(map("".join, chain.from_iterable(zip(*rows)))))
@@ -397,8 +376,8 @@ def read_lexicon(path):
     by row; a row splits once, into five columns and its cell's tail in
     ``_CELL_INDEX``.  Only a line that misses it (the header, a comment, a
     blank line, a last row with no line end, a malformed row) is split in
-    full and checked."""
-    paradigms = []  # [lemma, root, code, surfaces, scripts, last line] of each, as opened
+    full and checked.  The script column is not read: it is derived."""
+    paradigms = []  # [lemma, root, code, surfaces, last line] of each, as opened
     run_lemma = run_code = None  # the (lemma, code) of the current run of rows
     opened = {}  # root -> the paradigms of the current run
     resolved = set()  # the codes whose class resolves
@@ -419,7 +398,7 @@ def read_lexicon(path):
                     raise ArabverbError("line %d: %s" % (lineno, exc))
                 fields = (line + "\n").split("\t", 5)
                 i = _CELL_INDEX[fields[5]]
-            arabic, surface, lemma, root, code, _tail = fields
+            _script, surface, lemma, root, code, _tail = fields
             if lemma != run_lemma or code != run_code:
                 if code not in resolved:
                     try:
@@ -429,24 +408,23 @@ def read_lexicon(path):
                     resolved.add(code)
                 run_lemma, run_code, opened = lemma, code, {}
             if i == 0:
-                p = [lemma, root, code, [], [], lineno]
+                p = [lemma, root, code, [], lineno]
                 paradigms.append(p)
                 opened.setdefault(root, []).append(p)
             else:
                 for p in opened.get(root, ()):
                     if len(p[3]) == i:
-                        p[5] = lineno
+                        p[4] = lineno
                         break
                 else:
                     raise ArabverbError("line %d: no open paradigm of %s %s %s is due cell %s"
                                         % (lineno, lemma, root, code, CELLS[i]))
             p[3].append(surface)
-            p[4].append(arabic)
-    for j, (lemma, root, code, surfaces, scripts, lineno) in enumerate(paradigms):
+    for j, (lemma, root, code, surfaces, lineno) in enumerate(paradigms):
         if len(surfaces) != FORMS_PER_LEMMA:
             raise ArabverbError("line %d: paradigm of %s %s %s ends after %d of %d cells"
                                 % (lineno, lemma, root, code, len(surfaces), FORMS_PER_LEMMA))
-        paradigms[j] = Paradigm(lemma, root, code, tuple(surfaces), tuple(scripts))
+        paradigms[j] = Paradigm(lemma, root, code, tuple(surfaces))
     return Forms(paradigms)
 
 

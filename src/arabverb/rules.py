@@ -16,9 +16,9 @@ Pattern language (one symbol per character):
   M             any consonant except n
   V             short vowel
   1-9           back-reference to the Nth class capture in the pattern
-Left/right contexts use literals, C, V (and # for the word boundary),
-plus the same class letters where a finer set is needed.  Replacements
-are literals and capture references.
+Left/right contexts use literals, C, V (and # for the word boundary, to
+open a left or close a right one), plus the same class letters where a
+finer set is needed.  Replacements are literals and capture references.
 
 Each rule records what a match needs in the form: every literal of its
 pattern and contexts except the near-ubiquitous ``aiu·~``, and one member
@@ -63,7 +63,7 @@ def _ctx_source(ctx, trailing):
     out = []
     for ch in ctx:
         if ch == "#":
-            out.append("$" if trailing else "^")  # under re.M: also at a line break
+            out.append("$" if trailing else "\n")  # $ under re.M: also at a line break
         elif ch == ".":
             out.append(".")
         elif ch in _CLASS_SETS:
@@ -82,8 +82,12 @@ _NEED.update(G=frozenset("wy"), Q=HAMZA_LETTERS)
 def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment=""):
     if stage not in STAGES:
         raise BadRuleFile("rule %s: unknown stage %r" % (rule_id, stage))
+    if not pattern:
+        raise BadRuleFile("rule %s: empty pattern" % rule_id)
     if "\n" in pattern + replacement + left + right:
         raise BadRuleFile("rule %s: a line break is not a symbol" % rule_id)
+    if "#" in left[1:] + right[:-1]:
+        raise BadRuleFile("rule %s: # may only open a left context or close a right one" % rule_id)
     # The match consumes the left context, so a replacement puts it back.
     # It is group 1 only if there is one: an empty group in front would hide
     # the first class of the core from the regex engine's prefix scan.
@@ -190,6 +194,7 @@ class RuleSet:
     def apply(self, form, hits=None):
         plans = self._plans
         needed = self._needed
+        form = "\n" + form  # which a leading # matches, as in apply_many
         after = 0
         while True:
             # A rewrite can add or remove needed symbols: re-key, and go on
@@ -210,30 +215,31 @@ class RuleSet:
                     after = index + 1
                     break
             else:
-                return form
+                return form[1:]
 
     def apply_many(self, forms):
         """``[apply(form, hits) for form in forms]`` in one batch: returns
         the surfaces and, for each form, the dict of its rule hits.
 
-        The forms are joined by line breaks, and each rule runs once over
+        The forms follow a line break each, and each rule runs once over
         the text as one ``sub``, in cascade order.  No class and no ``.``
         matches a line break and ``#`` matches next to one, so no match
         crosses two forms; running the rules that a plan leaves out
-        changes nothing, since they cannot match.  The callback credits
-        each match to its line, counting the line breaks since the last.
+        changes nothing, since they cannot match.  The callback credits a
+        match to the line of the symbol after its start (a leading ``#``
+        matches the line break before its form), counting line breaks.
         """
-        text = "\n".join(forms)
-        if text.count("\n") != max(len(forms) - 1, 0):
+        text = "\n" + "\n".join(forms)
+        if text.count("\n") != max(len(forms), 1):
             raise ValueError("a form of the batch holds a line break")
         hits = [{} for _ in forms]
         for rule in self.rules:
             rule_id = rule.id
-            line = last = 0
+            line, last = -1, 0
 
             def rewrite(match):
                 nonlocal line, last
-                start = match.start()
+                start = match.start() + 1
                 line += text.count("\n", last, start)
                 last = start
                 own = hits[line]
@@ -241,7 +247,7 @@ class RuleSet:
                 return _substitute(rule, match)
 
             text = rule.rx.sub(rewrite, text)
-        return (text.split("\n") if forms else []), hits
+        return (text[1:].split("\n") if forms else []), hits
 
 
 def apply_rule(rule, form, hits=None):
@@ -265,8 +271,6 @@ def load_rules(path=None):
             raise BadRuleFile("rule file line %d: need 6+ columns" % lineno)
         rule_id, stage, pattern, replacement, left, right = fields[:6]
         comment = fields[6] if len(fields) > 6 else ""
-        if not pattern:
-            raise BadRuleFile("rule file line %d: empty pattern" % lineno)
         try:
             rules.append(make_rule(rule_id, stage, pattern, replacement, left, right, comment))
         except (BadRuleFile, re.error) as exc:

@@ -7,6 +7,7 @@ internal convention shadda-before-vowel, so ``to_internal`` is stable
 across the orderings found in real text.
 """
 
+import codecs
 import os
 import unicodedata
 
@@ -20,7 +21,6 @@ def load_codec_table():
         text = fh.read()
     a2i, i2a = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -37,6 +37,8 @@ def load_codec_table():
 
 _A2I, SCRIPT = load_codec_table()  # SCRIPT: internal symbol -> Arabic letter
 _TO_SCRIPT = str.maketrans(SCRIPT)
+# The script of each Latin-1 byte, for charmap_decode: \n and the internal symbols only.
+_SCRIPT_BYTES = "".join(SCRIPT.get(chr(b), "\n" if b == 10 else "\ufffe") for b in range(256))
 
 
 def to_internal(text):
@@ -59,8 +61,24 @@ def to_internal(text):
     return "".join(out)
 
 
-def to_script(s):
-    """Convert an internal string back to Arabic script."""
+def check_internal(s):
+    """Raise MalformedInternal unless ``s`` is a well-formed internal string."""
     if WELL_FORMED.fullmatch(s) is None:
         raise MalformedInternal(well_formed(s))
+
+
+def to_script(s):
+    """Convert an internal string back to Arabic script."""
+    check_internal(s)
     return s.translate(_TO_SCRIPT)
+
+
+def to_scripts(surfaces):
+    """The scripts of ``surfaces`` (no line breaks), as a list: one Latin-1
+    encode and one charmap_decode.  It checks each symbol, not the rest of
+    well-formedness, and raises MalformedInternal for one outside the alphabet."""
+    try:
+        return codecs.charmap_decode("\n".join(surfaces).encode("latin-1"), "strict", _SCRIPT_BYTES)[0].split("\n")
+    except UnicodeError:
+        bad = next(ch for s in surfaces for ch in s if ch not in SCRIPT)
+        raise MalformedInternal("symbol %r not in alphabet" % bad) from None

@@ -1,0 +1,191 @@
+"""Paper-scale benchmark: 15,452 lemmas, 1,684,268 inflected forms.
+
+    python3 tests/bench_paper_scale.py [--label L] [--src DIR] [--out DIR] [--commit C]
+
+Draws 15,452 entries over the 24 bundled codes the way the benchmark's
+mixed-class workload draws its synthetic entries (the bundled sample and
+gold entries, then seeded roots, seed string ``paper/0/entries``), with the
+helpers of ``perfbench/workloads.py``.  Each layer runs in its own child
+process, after the layers it needs, so that each reports its own wall
+time and the peak RSS (``VmHWM``) of the run up to its end:
+
+  generate_all   load the lemma TSV, generate_all serial
+  write_lexicon  the same, then write the inflected TSV
+  read_lexicon   read the inflected TSV back
+  FormIndex      the same, then build the index
+
+It writes ``BENCH_paper_<label>.json`` to ``--out`` (default: the
+repository root) with each layer's time and RSS, the forms, failures,
+bytes and sha256 of the TSV, the interpreter, ``nproc`` and the commit.
+``--src`` measures another checkout's ``src``.  It exits 1 unless there
+are 1,684,268 forms and no failure.  It takes about 20 s on a 2-core
+host and peaks near 0.7 GB (the index layer), so pytest does not collect
+it (the file name does not start with ``test_``).
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+ENTRIES = 15452
+FORMS = 1684268
+SEED = "paper/0/entries"
+LAYERS = ("generate_all", "write_lexicon", "read_lexicon", "FormIndex")
+
+
+def paper_rows():
+    """The bundled entries, then seeded synthetic ones up to ENTRIES, drawn
+    as workloads.mixed_class draws its synthetic entries."""
+    rng = random.Random(SEED)
+    bundled = workloads.bundled_entries()
+    taken = {(row[1], row[2]) for row in bundled}
+    letters = workloads.BASIC + workloads.WEAK
+    codes = sorted(workloads.SHAPES)
+    synthetic = []
+    while len(bundled) + len(synthetic) < ENTRIES:
+        code = rng.choice(codes)
+        if workloads.SHAPES[code].count("4"):
+            radicals = rng.sample(letters, 4)
+        else:
+            radicals = rng.sample(letters, 3)
+            if rng.random() < workloads.GEMINATE_SHARE:
+                radicals[2] = radicals[1]
+        root = "".join(radicals)
+        if (root, code) in taken:
+            continue
+        taken.add((root, code))
+        synthetic.append((workloads.script(workloads.lemma_for(root, code)), root, code, "synthetic"))
+    return bundled + sorted(synthetic, key=lambda row: (row[2], row[1]))
+
+
+def peak_rss_mb():
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def run_layer(layer, src, lemmas, tsv):
+    """Run ``layer`` and the layers it needs in this process; returns its
+    wall time, the peak RSS so far and what it counted."""
+    sys.path.insert(0, src)
+    import arabverb
+
+    out = {}
+    if layer in ("generate_all", "write_lexicon"):
+        entries = arabverb.load_lexicon(lemmas).entries
+        start = time.perf_counter()
+        forms, stats = arabverb.generate_all(entries)
+        wall = time.perf_counter() - start
+        out.update(entries=len(entries), forms=len(forms), failures=len(stats.failures))
+        if layer == "write_lexicon":
+            start = time.perf_counter()
+            arabverb.write_lexicon(forms, tsv)
+            wall = time.perf_counter() - start
+    else:
+        start = time.perf_counter()
+        forms = arabverb.read_lexicon(tsv)
+        wall = time.perf_counter() - start
+        out.update(forms=len(forms))
+        if layer == "FormIndex":
+            start = time.perf_counter()
+            index = arabverb.FormIndex(forms)
+            wall = time.perf_counter() - start
+            out.update(index_entries=len(index))
+    out.update(wall_s=round(wall, 3), peak_rss_mb=round(peak_rss_mb(), 1))
+    return out
+
+
+def child(layer, src, lemmas, tsv):
+    argv = [sys.executable, os.path.abspath(__file__), "--layer", layer, "--src", src,
+            "--lemmas", lemmas, "--tsv", tsv]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def commit_of(src):
+    try:
+        done = subprocess.run(["git", "-C", src, "rev-parse", "HEAD"], capture_output=True, text=True)
+    except OSError:
+        return "unknown"
+    return done.stdout.strip() or "unknown"
+
+
+def sha256_of(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", default="local", help="names the output, BENCH_paper_<label>.json")
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="the src directory to measure")
+    ap.add_argument("--out", default=ROOT, help="directory of the JSON output")
+    ap.add_argument("--commit", help="the commit to record (default: git rev-parse HEAD of --src)")
+    ap.add_argument("--layer", choices=LAYERS, help=argparse.SUPPRESS)
+    ap.add_argument("--lemmas", help=argparse.SUPPRESS)
+    ap.add_argument("--tsv", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    src = os.path.abspath(args.src)
+    if args.layer:
+        print(json.dumps(run_layer(args.layer, src, args.lemmas, args.tsv)))
+        return 0
+
+    with tempfile.TemporaryDirectory(prefix="arabverb-paper-") as tmp:
+        lemmas, tsv = os.path.join(tmp, "lemmas.tsv"), os.path.join(tmp, "inflected.tsv")
+        text = workloads.lemma_tsv(paper_rows())
+        with open(lemmas, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        layers = {}
+        for layer in LAYERS:
+            layers[layer] = child(layer, src, lemmas, tsv)
+            print(layer, json.dumps(layers[layer]), flush=True)
+        result = {
+            "label": args.label,
+            "commit": args.commit or commit_of(src),
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "nproc": os.cpu_count(),
+            "entries": layers["generate_all"]["entries"],
+            "lemma_tsv_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "forms": layers["generate_all"]["forms"],
+            "failures": layers["generate_all"]["failures"],
+            "tsv_bytes": os.path.getsize(tsv),
+            "tsv_sha256": sha256_of(tsv),
+            "read_forms": layers["read_lexicon"]["forms"],
+            "layers": {layer: {"wall_s": r["wall_s"], "peak_rss_mb": r["peak_rss_mb"]}
+                       for layer, r in layers.items()},
+        }
+    path = os.path.join(args.out, "BENCH_paper_%s.json" % args.label)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+    ok = result["forms"] == result["read_forms"] == FORMS and result["failures"] == 0
+    print("%s: %d forms, %d failures, TSV %s -> %s" % ("ok" if ok else "FAILED", result["forms"],
+                                                       result["failures"], result["tsv_sha256"][:12], path))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

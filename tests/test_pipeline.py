@@ -454,6 +454,63 @@ def test_surface_arabic_matches_surface(sample_forms):
         assert f.surface_arabic == to_script(f.surface)
 
 
+def test_paradigm_keeps_its_surfaces_only():
+    assert pipeline.Paradigm._fields == ("lemma", "root", "code", "surfaces")
+
+
+# The script of a form is derived from its surface wherever it is viewed:
+# iterating a Forms, indexing it, and after a TSV round trip.
+@pytest.mark.parametrize("source", ["generated", "read back"])
+@pytest.mark.parametrize("access", ["iterated", "indexed"])
+def test_surface_arabic_matches_surface_on_every_path(tmp_path, sample_forms, gold_forms, source, access):
+    forms = pipeline.Forms(sample_forms.paradigms + gold_forms.paradigms)
+    if source == "read back":
+        path = tmp_path / "inflected.tsv"
+        pipeline.write_lexicon(forms, path.as_posix())
+        forms = pipeline.read_lexicon(path.as_posix())
+    viewed = list(forms) if access == "iterated" else [forms[i] for i in range(len(forms))]
+    assert len(viewed) == len(forms) > 0
+    for f in viewed:
+        assert f.surface_arabic == to_script(f.surface)
+
+
+def _edit_column(path, column, row, edit):
+    """Rewrite ``column`` of line ``row`` of the TSV at ``path`` with ``edit``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[row].split("\t")
+    fields[column] = edit(fields[column])
+    lines[row] = "\t".join(fields)
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def test_a_wrong_script_column_is_not_read_back(tmp_path, sample_forms):
+    forms = pipeline.Forms(sample_forms.paradigms[:2])
+    path, edited, again = tmp_path / "a.tsv", tmp_path / "edited.tsv", tmp_path / "again.tsv"
+    pipeline.write_lexicon(forms, path.as_posix())
+    edited.write_bytes(path.read_bytes())
+    _edit_column(edited, 0, 5, lambda script: to_script("kataba"))
+    back = pipeline.read_lexicon(edited.as_posix())
+    assert back == pipeline.read_lexicon(path.as_posix())
+    pipeline.write_lexicon(back, again.as_posix())
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("symbol", ["é", "\u0628"])
+def test_a_read_back_surface_outside_the_alphabet_is_malformed(tmp_path, sample_forms, symbol):
+    path = tmp_path / "bad.tsv"
+    pipeline.write_lexicon(pipeline.Forms(sample_forms.paradigms[:1]), path.as_posix())
+    _edit_column(path, 1, 5, lambda surface: surface + symbol)
+    forms = pipeline.read_lexicon(path.as_posix())
+    message = "^symbol %s not in alphabet$" % re.escape(repr(symbol))
+    with pytest.raises(errors.MalformedInternal, match=message):
+        pipeline.write_lexicon(forms, (tmp_path / "out.tsv").as_posix())
+    with pytest.raises(errors.MalformedInternal, match=message):
+        list(forms)
+    with pytest.raises(errors.MalformedInternal, match=message):
+        forms[4]
+    assert forms[3].surface_arabic == to_script(forms[3].surface)
+
+
 def test_no_forbidden_onsets(sample_forms, gold_forms):
     # cluster repair totality: no surface begins with two vowelless consonants
     from arabverb.alphabet import CONSONANTS

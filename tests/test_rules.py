@@ -111,6 +111,27 @@ def test_pattern_digit_must_name_an_earlier_capture(pattern):
     assert "rule x9" in str(err.value)
 
 
+# Both cascade paths put a line break before the text and a leading # of a
+# left context matches it, so a # elsewhere in a context could join two
+# forms of a batch; an empty pattern would match before that line break.
+@pytest.mark.parametrize("left, right", [("C#", ""), ("##", ""), ("#C#", ""), ("", "#C"), ("", "C#C"), ("", "##")])
+def test_make_rule_rejects_a_misplaced_boundary(left, right):
+    with pytest.raises(BadRuleFile, match="^rule x9: # may only open a left context or close a right one$"):
+        make_rule("x9", "phono", "a", "", left, right)
+
+
+def test_make_rule_accepts_the_boundary_at_the_edges():
+    rule = make_rule("x9", "phono", "a", "", "#C", "C#")
+    assert RuleSet((rule,)).apply_many(["kab", "kabk", "ak", "bak"]) == (
+        ["kb", "kabk", "ak", "bk"], [{"x9": 1}, {}, {}, {"x9": 1}])
+    assert rule.rx.pattern.startswith("(\n")  # a literal the regex engine scans for
+
+
+def test_make_rule_rejects_an_empty_pattern():
+    with pytest.raises(BadRuleFile, match="^rule x9: empty pattern$"):
+        make_rule("x9", "phono", "", "a", "", "#")
+
+
 def test_bad_replacement_digit_in_rule_file(tmp_path):
     path = tmp_path / "rules.tsv"
     path.write_text(
@@ -179,7 +200,10 @@ def test_stage_separation():
 
 def _reference_apply(ruleset, form):
     """(surface, rule hits) of ``form``: every rule in order, each scanning
-    the whole form for its non-overlapping matches, with no firing guard."""
+    the whole form for its non-overlapping matches, with no firing guard.
+    The form follows a line break, which a leading # of a left context
+    matches."""
+    form = "\n" + form
     hits = {}
     for rule in ruleset.rules:
         out, pos = [], 0
@@ -191,7 +215,7 @@ def _reference_apply(ruleset, form):
             pos = m.end()
             hits[rule.id] = hits.get(rule.id, 0) + 1
         form = "".join(out) + form[pos:]
-    return form, hits
+    return form[1:], hits
 
 
 @pytest.fixture(scope="module")

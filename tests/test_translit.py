@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from arabverb.alphabet import ALPHABET, well_formed
 from arabverb.errors import MalformedInternal, UnknownCharacter
-from arabverb.translit import SCRIPT, load_codec_table, to_internal, to_script
+from arabverb.translit import SCRIPT, load_codec_table, to_internal, to_script, to_scripts
 
 
 def test_kataba():
@@ -100,3 +101,14 @@ def test_to_script_agrees_with_well_formed():
     assert {"'~' may not open a word", "'·' may not open a word"} <= reasons
     assert any(reason.startswith("vowel cluster") for reason in reasons)
     assert sum(well_formed(s) is None for s in strings) > 1000
+
+
+def test_to_scripts_maps_each_surface(sample_forms):
+    surfaces = [f.surface for f in sample_forms[:500]] + [""]
+    assert to_scripts(surfaces) == [to_script(s) for s in surfaces]
+
+
+@pytest.mark.parametrize("symbol", ["é", "@", "\u0628", "\r"])
+def test_to_scripts_rejects_a_symbol_outside_the_alphabet(symbol):
+    with pytest.raises(MalformedInternal, match="^symbol %s not in alphabet$" % re.escape(repr(symbol))):
+        to_scripts(["kataba", "ka" + symbol + "ba", "kutiba"])
