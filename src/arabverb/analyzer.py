@@ -7,6 +7,7 @@ index over the generator's output; nothing is parsed on the fly.
 
 from collections import namedtuple
 from itertools import repeat
+from operator import itemgetter
 
 from .alphabet import ALPHABET, SHADDA, SUKUN, VOWELS
 from .errors import LemmaNotFound
@@ -43,6 +44,11 @@ def matches_partial(query, candidate):
     return i == len(query)
 
 
+# The order of analyze's answer, (lemma, code, paradigm, voice, tag) of an
+# Analysis, read by one C-level getter.
+_SORT_KEY = itemgetter(0, 2, 6, 7, 5)
+
+
 class Analysis(namedtuple("Analysis", "lemma root code label surface tag paradigm voice")):
     """One reading of a form.  A named tuple, so that the index builds,
     hashes and holds one per form cheaply."""
@@ -50,7 +56,7 @@ class Analysis(namedtuple("Analysis", "lemma root code label surface tag paradig
     __slots__ = ()
 
     def sort_key(self):
-        return (self.lemma, self.code, self.paradigm, self.voice, self.tag)
+        return _SORT_KEY(self)
 
 
 # The tag, paradigm and voice of each cell, as columns in CELLS order.
@@ -117,11 +123,25 @@ def _to_query(text):
 
 
 def analyze(index, form):
-    """All analyses consistent with the (possibly partial) diacritics."""
+    """All analyses consistent with the (possibly partial) diacritics,
+    sorted by ``Analysis.sort_key``.  The candidates share the query's
+    skeleton, so a query with no diacritics matches every one of them;
+    otherwise each distinct candidate surface is tested once."""
     query = _to_query(form)
-    candidates = index.by_skeleton.get(skeleton(query), [])
-    hits = [a for a in candidates if matches_partial(query, a.surface)]
-    return sorted(hits, key=Analysis.sort_key)
+    bare = skeleton(query)
+    candidates = index.by_skeleton.get(bare)
+    if not candidates:
+        return []
+    if query == bare:
+        hits = candidates.copy()
+    else:
+        matched = {}
+        for surface in {a[4] for a in candidates}:
+            matched[surface] = matches_partial(query, surface)
+        hits = [a for a in candidates if matched[a[4]]]
+    if len(hits) > 1:
+        hits.sort(key=_SORT_KEY)
+    return hits
 
 
 def inflect_verb(index, lemma):

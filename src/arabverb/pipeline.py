@@ -5,6 +5,8 @@ record per entry.
 """
 
 import functools
+import os
+import stat
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import chain, groupby, repeat
@@ -349,17 +351,29 @@ def write_lexicon(forms, path):
     the paradigms of one (lemma, code) cell by cell, in input order within
     a cell, as a stable sort of the forms would give.  Each group is
     written as it is formatted, so that no string holds the whole file.
-    The script column is derived from the surfaces (translit.to_scripts)."""
+    The script column is derived from the surfaces (translit.to_scripts).
+    If writing raises (a surface outside the alphabet raises
+    MalformedInternal), a regular file at ``path`` is removed, so that no
+    partial lexicon is left; a device or a pipe is left as it is."""
     by_entry = attrgetter("lemma", "code")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(HEADER + "\n")
-        for _key, group in groupby(sorted(forms.paradigms, key=by_entry), by_entry):
-            # The row pieces of each paradigm, cell by cell; zip(*rows)
-            # interleaves the paradigms of the group within each cell.
-            rows = [zip(to_scripts(p.surfaces), repeat("\t"), p.surfaces,
-                        repeat("\t%s\t%s\t%s" % (p.lemma, p.root, p.code)), _CELL_TAILS)
-                    for p in group]
-            fh.write("".join(map("".join, chain.from_iterable(zip(*rows)))))
+        try:
+            fh.write(HEADER + "\n")
+            for _key, group in groupby(sorted(forms.paradigms, key=by_entry), by_entry):
+                # The row pieces of each paradigm, cell by cell; zip(*rows)
+                # interleaves the paradigms of the group within each cell.
+                rows = [zip(to_scripts(p.surfaces), repeat("\t"), p.surfaces,
+                            repeat("\t%s\t%s\t%s" % (p.lemma, p.root, p.code)), _CELL_TAILS)
+                        for p in group]
+                fh.write("".join(map("".join, chain.from_iterable(zip(*rows)))))
+        except BaseException:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            try:
+                fh.close()
+            finally:
+                if regular:
+                    os.unlink(path)
+            raise
 
 
 # Each cell's position in CELLS, by the last three columns of its row with

@@ -9,6 +9,7 @@ across the orderings found in real text.
 
 import codecs
 import os
+import re
 import unicodedata
 
 from .alphabet import SHADDA, VOWELS, WELL_FORMED, well_formed
@@ -36,9 +37,19 @@ def load_codec_table():
 
 
 _A2I, SCRIPT = load_codec_table()  # SCRIPT: internal symbol -> Arabic letter
+_ARABIC = frozenset(_A2I)
+_TO_INTERNAL = str.maketrans(_A2I)
 _TO_SCRIPT = str.maketrans(SCRIPT)
 # The script of each Latin-1 byte, for charmap_decode: \n and the internal symbols only.
 _SCRIPT_BYTES = "".join(SCRIPT.get(chr(b), "\n" if b == 10 else "\ufffe") for b in range(256))
+# NFC places a short vowel before shadda; internally the mark precedes its
+# vowel (kat~aba, not kata~ba), and a vowel moves past a whole run of them.
+_VOWEL_SHADDAS = re.compile("[%s]%s+" % ("".join(sorted(VOWELS)), re.escape(SHADDA)))
+
+
+def _shaddas_first(match):
+    run = match[0]
+    return run[1:] + run[0]
 
 
 def to_internal(text):
@@ -47,18 +58,13 @@ def to_internal(text):
     Raises UnknownCharacter for any codepoint outside the codec table.
     """
     text = unicodedata.normalize("NFC", text)
-    out = []
-    for pos, ch in enumerate(text):
-        sym = _A2I.get(ch)
-        if sym is None:
-            raise UnknownCharacter(ch, pos)
-        out.append(sym)
-    # NFC places a short vowel before shadda; internally the mark
-    # precedes its vowel (kat~aba, not kata~ba).
-    for i in range(len(out) - 1):
-        if out[i] in VOWELS and out[i + 1] == SHADDA:
-            out[i], out[i + 1] = out[i + 1], out[i]
-    return "".join(out)
+    if not _ARABIC.issuperset(text):
+        pos, ch = next((pos, ch) for pos, ch in enumerate(text) if ch not in _ARABIC)
+        raise UnknownCharacter(ch, pos)
+    out = text.translate(_TO_INTERNAL)
+    if SHADDA in out:
+        out = _VOWEL_SHADDAS.sub(_shaddas_first, out)
+    return out
 
 
 def check_internal(s):

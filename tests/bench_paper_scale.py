@@ -13,14 +13,25 @@ time and the peak RSS (``VmHWM``) of the run up to its end:
   write_lexicon  the same, then write the inflected TSV
   read_lexicon   read the inflected TSV back
   FormIndex      the same, then build the index
+  queries        the same, then time ``analyze`` over a seeded query set
+
+The query set holds QUERIES_PER_KIND queries of each of the six analysis
+kinds of the lookup workload (exact, partial and bare diacritics, in the
+internal transliteration and in Arabic script), each drawn from a seeded
+cell of a seeded record of the index (seed string ``paper/0/queries``),
+and issued in one shuffled closed loop with each call timed alone.  Every
+answer must hold the analysis it was drawn from.
 
 It writes ``BENCH_paper_<label>.json`` to ``--out`` (default: the
 repository root) with each layer's time and RSS, the forms, failures,
-bytes and sha256 of the TSV, the interpreter, ``nproc`` and the commit.
+bytes and sha256 of the TSV, the count, p50 and p99 (nearest rank) of the
+query latencies per kind and pooled, the interpreter, ``nproc`` and the
+commit.
 ``--src`` measures another checkout's ``src``.  It exits 1 unless there
-are 1,684,268 forms and no failure.  It takes about 20 s on a 2-core
-host and peaks near 0.7 GB (the index layer), so pytest does not collect
-it (the file name does not start with ``test_``).
+are 1,684,268 forms, no failure and every query answered.  It takes
+about 30 s on a 2-core host and peaks near 0.5 GB (the index and query
+layers), so pytest does not collect it (the file name does not start
+with ``test_``).
 """
 
 import argparse
@@ -38,11 +49,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
+from worker import _rank  # noqa: E402
 
 ENTRIES = 15452
 FORMS = 1684268
 SEED = "paper/0/entries"
-LAYERS = ("generate_all", "write_lexicon", "read_lexicon", "FormIndex")
+QUERY_SEED = "paper/0/queries"
+KINDS = ("exact", "partial", "bare", "script", "script-partial", "script-bare")
+# The nearest-rank p99 of 5,000 samples is the 4,951st, with 49 beyond it.
+QUERIES_PER_KIND = 5000
+LAYERS = ("generate_all", "write_lexicon", "read_lexicon", "FormIndex", "queries")
 
 
 def paper_rows():
@@ -105,13 +121,74 @@ def run_layer(layer, src, lemmas, tsv):
         forms = arabverb.read_lexicon(tsv)
         wall = time.perf_counter() - start
         out.update(forms=len(forms))
-        if layer == "FormIndex":
+        if layer in ("FormIndex", "queries"):
             start = time.perf_counter()
             index = arabverb.FormIndex(forms)
             wall = time.perf_counter() - start
             out.update(index_entries=len(index))
+        if layer == "queries":
+            queries = paper_queries(forms.paradigms, arabverb.CELLS, arabverb.to_script)
+            del forms
+            start = time.perf_counter()
+            latency, missed = time_queries(arabverb.analyze, index, queries)
+            wall = time.perf_counter() - start
+            out.update(latency=latency, missed=missed)
     out.update(wall_s=round(wall, 3), peak_rss_mb=round(peak_rss_mb(), 1))
     return out
+
+
+def _partial(text, marks, rng):
+    """``text`` without each of its ``marks`` with probability 1/2, and
+    without its first mark if that dropped none."""
+    kept = [ch for ch in text if ch not in marks or rng.random() < 0.5]
+    if len(kept) == len(text):
+        first = next((i for i, ch in enumerate(text) if ch in marks), None)
+        if first is not None:
+            del kept[first]
+    return "".join(kept)
+
+
+def paper_queries(records, cells, to_script):
+    """QUERIES_PER_KIND queries of each kind, shuffled: (kind, text, the
+    (lemma, root, code, surface, tag, paradigm, voice) drawn)."""
+    rng = random.Random(QUERY_SEED)
+    queries = []
+    for kind in KINDS:
+        for _ in range(QUERIES_PER_KIND):
+            record = records[rng.randrange(len(records))]
+            i = rng.randrange(len(cells))
+            surface, cell = record.surfaces[i], cells[i]
+            if kind.startswith("script"):
+                text, marks = to_script(surface), workloads.SCRIPT_DIACRITICS
+            else:
+                text, marks = surface, workloads.DIACRITICS
+            if kind.endswith("partial"):
+                text = _partial(text, marks, rng)
+            elif kind.endswith("bare"):
+                text = "".join(ch for ch in text if ch not in marks)
+            queries.append((kind, text, (record.lemma, record.root, record.code, surface,
+                                         cell.tag, cell.paradigm, cell.voice)))
+    rng.shuffle(queries)
+    return queries
+
+
+def time_queries(analyze, index, queries):
+    """Each query timed alone; returns the count, p50 and p99 (us) per kind
+    and pooled, and how many answers lack the analysis they were drawn from."""
+    clock = time.perf_counter_ns
+    latency = {kind: [] for kind in KINDS}
+    answers = []
+    for kind, text, _drawn in queries:
+        start = clock()
+        hits = analyze(index, text)
+        latency[kind].append(clock() - start)
+        answers.append(hits)
+    missed = sum(1 for (_kind, _text, drawn), hits in zip(queries, answers)
+                 if drawn not in {(a.lemma, a.root, a.code, a.surface, a.tag, a.paradigm, a.voice) for a in hits})
+    latency["pooled"] = [ns for kind in KINDS for ns in latency[kind]]
+    return {kind: {"n": len(ns), "p50_us": round(_rank(sorted(ns), 0.50) / 1e3, 2),
+                   "p99_us": round(_rank(sorted(ns), 0.99) / 1e3, 2)}
+            for kind, ns in latency.items()}, missed
 
 
 def child(layer, src, lemmas, tsv):
@@ -176,14 +253,17 @@ def main():
             "read_forms": layers["read_lexicon"]["forms"],
             "layers": {layer: {"wall_s": r["wall_s"], "peak_rss_mb": r["peak_rss_mb"]}
                        for layer, r in layers.items()},
+            "queries": layers["queries"]["latency"],
+            "queries_missed": layers["queries"]["missed"],
         }
     path = os.path.join(args.out, "BENCH_paper_%s.json" % args.label)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    ok = result["forms"] == result["read_forms"] == FORMS and result["failures"] == 0
-    print("%s: %d forms, %d failures, TSV %s -> %s" % ("ok" if ok else "FAILED", result["forms"],
-                                                       result["failures"], result["tsv_sha256"][:12], path))
+    ok = result["forms"] == result["read_forms"] == FORMS and result["failures"] == result["queries_missed"] == 0
+    print("%s: %d forms, %d failures, %d queries missed, TSV %s -> %s" % (
+        "ok" if ok else "FAILED", result["forms"], result["failures"], result["queries_missed"],
+        result["tsv_sha256"][:12], path))
     return 0 if ok else 1
 
 

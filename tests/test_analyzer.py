@@ -11,8 +11,10 @@ from arabverb.errors import LemmaNotFound, UnknownCharacter
 from arabverb.evaluate import forms_to_normalized
 from arabverb.inflect import CELLS
 from arabverb.lexicon import parse_code, resolve_class
-from arabverb.pipeline import Forms, read_lexicon, write_lexicon
+from arabverb.pipeline import Forms, Paradigm, read_lexicon, write_lexicon
+from arabverb.translit import SCRIPT, to_script
 from test_pipeline import _duplicate_entries
+from test_translit import reference_to_internal
 
 
 @pytest.fixture(scope="module")
@@ -298,3 +300,94 @@ def test_analysis_record_contract():
     assert a != a._replace(voice="PAS")
     back = pickle.loads(pickle.dumps(a))
     assert back == a and type(back) is Analysis
+
+
+# analyze takes every candidate for a query with no diacritics, tests each
+# distinct candidate surface once, and sorts on a getter.  The reference
+# below is the filter-and-sort it replaced: each candidate tested, then a
+# stable sort on a key built per analysis.  The answers, order included,
+# must be the same.
+
+def reference_sort_key(a):
+    return (a.lemma, a.code, a.paradigm, a.voice, a.tag)
+
+
+def reference_analyze(index, form):
+    query = form if form and ALPHABET.issuperset(form) else reference_to_internal(form)
+    candidates = index.by_skeleton.get(skeleton(query), [])
+    hits = [a for a in candidates if matches_partial(query, a.surface)]
+    return sorted(hits, key=reference_sort_key)
+
+
+SCRIPT_DIACRITICS = frozenset(SCRIPT[mark] for mark in DIACRITICS)
+
+
+def dropped(text, marks, rng):
+    """``text`` without each of its ``marks`` with probability 1/2."""
+    return "".join(ch for ch in text if ch not in marks or rng.random() < 0.5)
+
+
+def queries_of(surfaces, seed):
+    """Exact, partial, bare, script, script-partial and script-bare queries
+    of each surface, and a miss per surface (one consonant swapped)."""
+    rng = random.Random(seed)
+    out = []
+    for surface in surfaces:
+        script = to_script(surface)
+        out += [surface, dropped(surface, DIACRITICS, rng), skeleton(surface),
+                script, dropped(script, SCRIPT_DIACRITICS, rng),
+                "".join(ch for ch in script if ch not in SCRIPT_DIACRITICS)]
+        consonants = [i for i, ch in enumerate(surface) if ch not in DIACRITICS]
+        i = rng.choice(consonants)
+        out.append(surface[:i] + rng.choice("bdfkqzÃ") + surface[i + 1:])
+    return out
+
+
+@pytest.mark.parametrize("which", ["sample", "gold"])
+def test_analyze_equals_the_filter_and_sort_reference(which, sample_index, gold_index, sample_forms, gold_forms):
+    index, forms = (sample_index, sample_forms) if which == "sample" else (gold_index, gold_forms)
+    surfaces = sorted({f.surface for f in forms})
+    queries = queries_of(surfaces, seed=len(surfaces))
+    misses = sum(1 for q in queries if not reference_analyze(index, q))
+    for query in queries:
+        assert analyze(index, query) == reference_analyze(index, query), query
+    assert 0 < misses < len(queries) / 4
+
+
+def homograph_index():
+    """Three records whose surfaces all strip to ``ktb``, cycling through a
+    few spellings so that one skeleton holds many analyses per surface.  The
+    first two share lemma and code, so their analyses of one cell have equal
+    sort keys; the third sorts before both."""
+    spellings = ("kataba", "kat~aba", "kutiba", "kut~iba", "katab", "kataba")
+    code = "00L0003"
+    records = [
+        Paradigm("kataba", "ktb", code, tuple(spellings[i % 6] for i in range(len(CELLS)))),
+        Paradigm("kataba", "kbt", code, tuple(spellings[(i + 1) % 6] for i in range(len(CELLS)))),
+        Paradigm("kat~aba", "ktb", code, tuple(spellings[i % 4] for i in range(len(CELLS)))),
+    ]
+    return FormIndex(Forms(records))
+
+
+def test_analyze_keeps_index_order_among_equal_keys():
+    index = homograph_index()
+    assert len(index.by_skeleton) == 1 and len(index.by_skeleton["ktb"]) == 3 * len(CELLS)
+    queries = ["ktb", "kataba", "kat~aba", "katab", "kutiba", "kut~iba", "k~b", "kaba", "ktba", "kt",
+               to_script("ktb"), to_script("kat~aba"), "katabu"]
+    for query in queries:
+        assert analyze(index, query) == reference_analyze(index, query), query
+    for query in ("ktb", "kataba"):
+        hits = analyze(index, query)
+        ties = [(a.root, b.root) for a, b in zip(hits, hits[1:]) if a.sort_key() == b.sort_key()]
+        # equal keys: the record indexed first comes first
+        assert len(ties) > 20 and set(ties) == {("ktb", "kbt")}
+
+
+def test_analyze_answers_a_list_of_its_own(sample_index):
+    bare = skeleton("façala")
+    hits = analyze(sample_index, bare)
+    assert hits == reference_analyze(sample_index, bare)
+    candidates = list(sample_index.by_skeleton[bare])
+    hits.clear()
+    assert sample_index.by_skeleton[bare] == candidates
+    assert analyze(sample_index, bare) == reference_analyze(sample_index, bare)

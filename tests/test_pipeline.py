@@ -4,8 +4,10 @@ import os
 import pickle
 import random
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -509,6 +511,41 @@ def test_a_read_back_surface_outside_the_alphabet_is_malformed(tmp_path, sample_
     with pytest.raises(errors.MalformedInternal, match=message):
         forms[4]
     assert forms[3].surface_arabic == to_script(forms[3].surface)
+
+
+def _with_a_bad_sixth_record(forms):
+    """``forms`` with a symbol outside the alphabet appended to one surface
+    of the sixth record: the groups sorted before it are written first."""
+    records = list(forms.paradigms)
+    bad = records[5]
+    records[5] = bad._replace(surfaces=(bad.surfaces[0] + "é",) + bad.surfaces[1:])
+    return pipeline.Forms(records)
+
+
+def test_a_failed_write_leaves_no_file(tmp_path, sample_forms):
+    path = tmp_path / "out.tsv"
+    with pytest.raises(errors.MalformedInternal, match="^symbol 'é' not in alphabet$"):
+        pipeline.write_lexicon(_with_a_bad_sixth_record(sample_forms), path.as_posix())
+    assert not path.exists()
+    # an earlier file at the path is gone too, not left half overwritten
+    path.write_text("earlier\n", encoding="utf-8")
+    with pytest.raises(errors.MalformedInternal):
+        pipeline.write_lexicon(_with_a_bad_sixth_record(sample_forms), path.as_posix())
+    assert not path.exists()
+
+
+def test_a_failed_write_to_a_pipe_keeps_the_pipe(tmp_path, sample_forms):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    with pytest.raises(errors.MalformedInternal):
+        pipeline.write_lexicon(_with_a_bad_sixth_record(sample_forms), fifo.as_posix())
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received[0].startswith((pipeline.HEADER + "\n").encode("utf-8"))
 
 
 def test_no_forbidden_onsets(sample_forms, gold_forms):
