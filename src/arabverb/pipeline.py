@@ -353,8 +353,8 @@ def write_lexicon(forms, path):
     written as it is formatted, so that no string holds the whole file.
     The script column is derived from the surfaces (translit.to_scripts).
     If writing raises (a surface outside the alphabet raises
-    MalformedInternal), a regular file at ``path`` is removed, so that no
-    partial lexicon is left; a device or a pipe is left as it is."""
+    MalformedInternal), the partial file is removed (_remove_partial) and
+    the error re-raised."""
     by_entry = attrgetter("lemma", "code")
     with open(path, "w", encoding="utf-8") as fh:
         try:
@@ -367,13 +367,26 @@ def write_lexicon(forms, path):
                         for p in group]
                 fh.write("".join(map("".join, chain.from_iterable(zip(*rows)))))
         except BaseException:
-            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            try:
-                fh.close()
-            finally:
-                if regular:
-                    os.unlink(path)
+            _remove_partial(fh, path)
             raise
+
+
+def _remove_partial(fh, path):
+    """Close ``fh`` and unlink ``path`` only if ``path`` itself names the
+    regular file ``fh`` wrote: a device, a pipe or a symbolic link (such as
+    /dev/stdout redirected to a file) is left as it is.  An OSError here is
+    dropped, so that the caller re-raises the error of the write."""
+    try:
+        written = os.fstat(fh.fileno())
+        try:
+            fh.close()
+        except OSError:
+            pass  # the file is partial either way
+        named = os.lstat(path)
+        if stat.S_ISREG(named.st_mode) and (named.st_dev, named.st_ino) == (written.st_dev, written.st_ino):
+            os.unlink(path)
+    except OSError:
+        pass
 
 
 # Each cell's position in CELLS, by the last three columns of its row with

@@ -534,6 +534,33 @@ def test_a_failed_write_leaves_no_file(tmp_path, sample_forms):
     assert not path.exists()
 
 
+def test_a_failed_write_through_a_symlink_keeps_link_and_target(tmp_path, sample_forms):
+    # as with --out /dev/stdout redirected to a file: the name is a link
+    target, link = tmp_path / "target.tsv", tmp_path / "link.tsv"
+    target.write_text("earlier\n", encoding="utf-8")
+    link.symlink_to(target)
+    with pytest.raises(errors.MalformedInternal, match="^symbol 'é' not in alphabet$"):
+        pipeline.write_lexicon(_with_a_bad_sixth_record(sample_forms), link.as_posix())
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8").startswith(pipeline.HEADER + "\n")
+
+
+def test_a_failed_write_keeps_a_file_that_replaced_the_output(tmp_path, sample_forms, monkeypatch):
+    path, newer = tmp_path / "out.tsv", tmp_path / "newer.tsv"
+    newer.write_text("newer\n", encoding="utf-8")
+    to_scripts = pipeline.to_scripts
+
+    def replace_then_convert(surfaces):
+        if newer.exists():
+            os.replace(newer, path)  # another writer renames its file over the path
+        return to_scripts(surfaces)
+
+    monkeypatch.setattr(pipeline, "to_scripts", replace_then_convert)
+    with pytest.raises(errors.MalformedInternal):
+        pipeline.write_lexicon(_with_a_bad_sixth_record(sample_forms), path.as_posix())
+    assert path.read_text(encoding="utf-8") == "newer\n"
+
+
 def test_a_failed_write_to_a_pipe_keeps_the_pipe(tmp_path, sample_forms):
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
