@@ -11,7 +11,7 @@ from .analyzer import FormIndex, analyze, derive_root, inflect_verb
 from .inflect import CELLS, Cell, inflect, paradigm
 from .lexicon import LexiconEntry, load_lexicon, parse_code, resolve_class
 from .pipeline import generate_all, generate_entry, read_lexicon, write_lexicon
-from .rules import apply_cascade, apply_rule, default_rules, load_rules
+from .rules import apply_cascade, default_rules, load_rules
 from .stems import build_stems
 from .translit import to_internal, to_script
 
@@ -22,6 +22,6 @@ __all__ = [
     "CELLS", "Cell", "inflect", "paradigm",
     "LexiconEntry", "load_lexicon", "parse_code", "resolve_class",
     "generate_all", "generate_entry", "read_lexicon", "write_lexicon",
-    "apply_cascade", "apply_rule", "default_rules", "load_rules",
+    "apply_cascade", "default_rules", "load_rules",
     "build_stems", "to_internal", "to_script",
 ]

@@ -19,17 +19,11 @@ Pattern language (one symbol per character):
 Left/right contexts use literals, C, V (and # for the word boundary, to
 open a left or close a right one), plus the same class letters where a
 finer set is needed.  Replacements are literals and capture references.
-
-Each rule records what a match needs in the form: every literal of its
-pattern and contexts except the near-ubiquitous ``aiu·~``, and one member
-of each narrow class (G, Q) they name.  The cascade runs, for the needed
-symbols a form holds, only the rules whose needs those symbols meet.
 """
 
 import functools
 import os
 import re
-from bisect import bisect_left
 from collections import namedtuple
 
 from .alphabet import CONSONANTS, HAMZA_LETTERS, SEMICONSONANTS
@@ -50,10 +44,10 @@ STAGES = ("phono", "ortho")
 
 
 class RewriteRule(namedtuple("RewriteRule", "id stage pattern replacement left_ctx right_ctx comment "
-                                            "rx needs parts", defaults=("", None, frozenset(), ()))):
-    """A rule: the seven columns of its row, and the regex, needs and
-    replacement parts that make_rule compiles from them.  Those three are
-    equal whenever the seven are, so rules compare by their row."""
+                                            "rx parts", defaults=("", None, ()))):
+    """A rule: the seven columns of its row, and the regex and replacement
+    parts that make_rule compiles from them.  Those two are equal whenever
+    the seven are, so rules compare by their row."""
 
     __slots__ = ()
 
@@ -71,12 +65,6 @@ def _ctx_source(ctx, trailing):
         else:
             out.append(re.escape(ch))
     return "".join(out)
-
-
-# What a pattern or context symbol needs in the form: itself, a member of a
-# narrow class, or nothing for a broad class or the near-ubiquitous aiu·~.
-_NEED = dict.fromkeys([*_CLASS_SETS, *"aiu·~"])
-_NEED.update(G=frozenset("wy"), Q=HAMZA_LETTERS)
 
 
 def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment=""):
@@ -124,14 +112,10 @@ def make_rule(rule_id, stage, pattern, replacement, left="", right="", comment="
         src = "(%s)%s" % (_ctx_source(left, False), src)
     if right:
         src = "%s(?=%s)" % (src, _ctx_source(right, True))
-    symbols = [ch for ch in pattern if ch != "." and not ch.isdigit()]
-    symbols += [ch for ch in left + right if ch not in "#."]
-    needs = {_NEED.get(ch, frozenset(ch)) for ch in symbols}
-    needs.discard(None)
     return RewriteRule(
         id=rule_id, stage=stage, pattern=pattern, replacement=replacement,
         left_ctx=left, right_ctx=right, comment=comment,
-        rx=re.compile(src, re.M), needs=frozenset(needs), parts=tuple(parts),
+        rx=re.compile(src, re.M), parts=tuple(parts),
     )
 
 
@@ -142,10 +126,6 @@ def _substitute(rule, match):
 
 class RuleSet:
     """An ordered cascade; phonological rules strictly precede orthographic.
-
-    A plan is the cascade-ordered (index, rule) pairs whose needs a set of
-    needed symbols meets.  Plans are made on first use, keyed on the needed
-    symbols a form holds, and share their pairs.
 
     ``free`` is the largest set of consonants that the cascade cannot tell
     apart: no rule names them, and every class of ``_CLASS_SETS`` holds
@@ -167,9 +147,6 @@ class RuleSet:
                     "phonological rule %s after the orthographic stage" % rule.id
                 )
         self.rules = tuple(rules)
-        self._pairs = tuple(enumerate(self.rules))
-        self._needed = frozenset().union(*(n for r in self.rules for n in r.needs))
-        self._plans = {}
         named = set()
         for rule in self.rules:
             named.update(rule.pattern, rule.replacement, rule.left_ctx, rule.right_ctx)
@@ -184,38 +161,16 @@ class RuleSet:
     def count(self, stage):
         return sum(1 for r in self.rules if r.stage == stage)
 
-    def _plan(self, key):
-        """The (index, rule) pairs whose needs the needed symbols ``key`` meet."""
-        plan = self._plans[key] = tuple(
-            pair for pair in self._pairs
-            if all(not key.isdisjoint(need) for need in pair[1].needs))
-        return plan
-
     def apply(self, form, hits=None):
-        plans = self._plans
-        needed = self._needed
         form = "\n" + form  # which a leading # matches, as in apply_many
-        after = 0
-        while True:
-            # A rewrite can add or remove needed symbols: re-key, and go on
-            # with the later rules of the new plan.
-            key = needed.intersection(form)
-            plan = plans.get(key)
-            if plan is None:
-                plan = self._plan(key)
-            if after:
-                plan = plan[bisect_left(plan, (after,)):]
-            for index, rule in plan:
-                if rule.rx.search(form) is not None:
-                    # Every non-overlapping match, left to right, in one
-                    # pass over the form as it was before the rule.
-                    form, n = rule.rx.subn(functools.partial(_substitute, rule), form)
-                    if hits is not None:
-                        hits[rule.id] = hits.get(rule.id, 0) + n
-                    after = index + 1
-                    break
-            else:
-                return form[1:]
+        for rule in self.rules:
+            if rule.rx.search(form) is not None:
+                # Every non-overlapping match, left to right, in one pass
+                # over the form as it was before the rule.
+                form, n = rule.rx.subn(functools.partial(_substitute, rule), form)
+                if hits is not None:
+                    hits[rule.id] = hits.get(rule.id, 0) + n
+        return form[1:]
 
     def apply_many(self, forms):
         """``[apply(form, hits) for form in forms]`` in one batch: returns
@@ -224,10 +179,9 @@ class RuleSet:
         The forms follow a line break each, and each rule runs once over
         the text as one ``sub``, in cascade order.  No class and no ``.``
         matches a line break and ``#`` matches next to one, so no match
-        crosses two forms; running the rules that a plan leaves out
-        changes nothing, since they cannot match.  The callback credits a
-        match to the line of the symbol after its start (a leading ``#``
-        matches the line break before its form), counting line breaks.
+        crosses two forms.  The callback credits a match to the line of
+        the symbol after its start (a leading ``#`` matches the line break
+        before its form), counting line breaks.
         """
         text = "\n" + "\n".join(forms)
         if text.count("\n") != max(len(forms), 1):
@@ -248,11 +202,6 @@ class RuleSet:
 
             text = rule.rx.sub(rewrite, text)
         return (text[1:].split("\n") if forms else []), hits
-
-
-def apply_rule(rule, form, hits=None):
-    """Apply one rule once: all non-overlapping matches, left to right."""
-    return RuleSet((rule,)).apply(form, hits)
 
 
 def load_rules(path=None):

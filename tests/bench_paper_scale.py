@@ -5,15 +5,16 @@
 Draws 15,452 entries over the 24 bundled codes the way the benchmark's
 mixed-class workload draws its synthetic entries (the bundled sample and
 gold entries, then seeded roots, seed string ``paper/0/entries``), with the
-helpers of ``perfbench/workloads.py``.  Each layer runs in its own child
-process, after the layers it needs, so that each reports its own wall
-time and the peak RSS (``VmHWM``) of the run up to its end:
+helpers of ``perfbench/workloads.py``.  Each layer runs in a child
+process, after the layers it needs, and reports its own wall time and the
+peak RSS (``VmHWM``) of the run up to its end:
 
   generate_all   load the lemma TSV, generate_all serial
   write_lexicon  the same, then write the inflected TSV
   read_lexicon   read the inflected TSV back
   FormIndex      the same, then build the index
-  queries        the same, then time ``analyze`` over a seeded query set
+  queries        in the FormIndex child, once the index has taken its
+                 figures: time ``analyze`` over a seeded query set
 
 The query set holds QUERIES_PER_KIND queries of each of the six analysis
 kinds of the lookup workload (exact, partial and bare diacritics, in the
@@ -29,9 +30,9 @@ query latencies per kind and pooled, the interpreter, ``nproc`` and the
 commit.
 ``--src`` measures another checkout's ``src``.  It exits 1 unless there
 are 1,684,268 forms, no failure and every query answered.  It takes
-about 30 s on a 2-core host and peaks near 0.5 GB (the index and query
-layers), so pytest does not collect it (the file name does not start
-with ``test_``).
+about 20 s on a 2-core host and peaks near 0.5 GB (the FormIndex child),
+so pytest does not collect it (the file name does not start with
+``test_``).
 """
 
 import argparse
@@ -58,7 +59,8 @@ QUERY_SEED = "paper/0/queries"
 KINDS = ("exact", "partial", "bare", "script", "script-partial", "script-bare")
 # The nearest-rank p99 of 5,000 samples is the 4,951st, with 49 beyond it.
 QUERIES_PER_KIND = 5000
-LAYERS = ("generate_all", "write_lexicon", "read_lexicon", "FormIndex", "queries")
+# One child each; the queries layer runs in the FormIndex child.
+LAYERS = ("generate_all", "write_lexicon", "read_lexicon", "FormIndex")
 
 
 def paper_rows():
@@ -101,7 +103,8 @@ def peak_rss_mb():
 
 def run_layer(layer, src, lemmas, tsv):
     """Run ``layer`` and the layers it needs in this process; returns its
-    wall time, the peak RSS so far and what it counted."""
+    wall time, the peak RSS so far and what it counted.  The FormIndex
+    layer also returns the queries layer's, under ``queries``."""
     sys.path.insert(0, src)
     import arabverb
 
@@ -121,19 +124,20 @@ def run_layer(layer, src, lemmas, tsv):
         forms = arabverb.read_lexicon(tsv)
         wall = time.perf_counter() - start
         out.update(forms=len(forms))
-        if layer in ("FormIndex", "queries"):
+        if layer == "FormIndex":
             start = time.perf_counter()
             index = arabverb.FormIndex(forms)
             wall = time.perf_counter() - start
             out.update(index_entries=len(index))
-        if layer == "queries":
-            queries = paper_queries(forms.paradigms, arabverb.CELLS, arabverb.to_script)
-            del forms
-            start = time.perf_counter()
-            latency, missed = time_queries(arabverb.analyze, index, queries)
-            wall = time.perf_counter() - start
-            out.update(latency=latency, missed=missed)
     out.update(wall_s=round(wall, 3), peak_rss_mb=round(peak_rss_mb(), 1))
+    if layer == "FormIndex":
+        queries = paper_queries(forms.paradigms, arabverb.CELLS, arabverb.to_script)
+        del forms
+        start = time.perf_counter()
+        latency, missed = time_queries(arabverb.analyze, index, queries)
+        wall = time.perf_counter() - start
+        out["queries"] = dict(wall_s=round(wall, 3), peak_rss_mb=round(peak_rss_mb(), 1),
+                              latency=latency, missed=missed)
     return out
 
 
@@ -238,6 +242,7 @@ def main():
         for layer in LAYERS:
             layers[layer] = child(layer, src, lemmas, tsv)
             print(layer, json.dumps(layers[layer]), flush=True)
+        layers["queries"] = layers["FormIndex"].pop("queries")
         result = {
             "label": args.label,
             "commit": args.commit or commit_of(src),
