@@ -281,7 +281,9 @@ def _expand_code(entries, ruleset, stand, targets):
         table = bytearray(_UNCHANGED)
         for old, new in zip(paradigm.root, entry.root):
             table[ord(old)] = ord(new)
-        out[i] = Paradigm(entry.lemma, entry.root, entry.code, tuple(_translate(paradigm.surfaces, table))), hits
+        distinct = list(dict.fromkeys(paradigm.surfaces))  # its cells share one string, as in a first entry
+        renamed = dict(zip(distinct, _translate(distinct, table)))
+        out[i] = Paradigm(entry.lemma, entry.root, entry.code, tuple(map(renamed.__getitem__, paradigm.surfaces))), hits
     return out
 
 

@@ -5,8 +5,8 @@ All verbs are generated as regular here; weak-radical and geminate
 allomorphy is repaired later by the surface-rule cascade.  The
 class-aware repairs happen in ``preprocess``:
 
-* assimilation of a radical-initial w/y/þ/ð/d/T/Á into the t infix of
-  the VIII pattern,
+* assimilation of a radical-initial w/y/Á into the t infix of the VIII
+  pattern,
 * resyllabification of the imperfective stem: the template strips the
   interior stem vowel, and the prohibited consonant run is repaired by
   restoring an a at the position the perfective template vowel holds,
@@ -34,10 +34,7 @@ TEMPLATES = {
 PASSIVE_VOWELS = {"p": ("u", "i"), "i": ("u", "a")}
 
 # Radical-initial consonants that assimilate into the VIII t-infix.
-VIII_ASSIMILATION = {
-    "w": "t", "y": "t", "Á": "t",
-    "þ": "þ", "ð": "ð", "d": "d", "T": "T",
-}
+VIII_ASSIMILATION = {"w": "t", "y": "t", "Á": "t"}
 
 
 class StemSet(namedtuple("StemSet", "p_act i_act m_act p_pas i_pas")):

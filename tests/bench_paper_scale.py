@@ -25,9 +25,10 @@ answer must hold the analysis it was drawn from.
 
 It writes ``BENCH_paper_<label>.json`` to ``--out`` (default: the
 repository root) with each layer's time and RSS, the forms, failures,
-bytes and sha256 of the TSV, the count, p50 and p99 (nearest rank) of the
-query latencies per kind and pooled, the interpreter, ``nproc`` and the
-commit.
+bytes and sha256 of the TSV, the (code, stand-in root) keys of the
+paradigm cache (``stand_in_keys``, counted after generate_all is timed),
+the count, p50 and p99 (nearest rank) of the query latencies per kind
+and pooled, the interpreter, ``nproc`` and the commit.
 ``--src`` measures another checkout's ``src``.  It exits 1 unless there
 are 1,684,268 forms, no failure and every query answered.  It takes
 about 20 s on a 2-core host and peaks near 0.5 GB (the FormIndex child),
@@ -115,6 +116,11 @@ def run_layer(layer, src, lemmas, tsv):
         forms, stats = arabverb.generate_all(entries)
         wall = time.perf_counter() - start
         out.update(entries=len(entries), forms=len(forms), failures=len(stats.failures))
+        if layer == "generate_all":
+            from arabverb import pipeline
+
+            free = pipeline.stand_ins(arabverb.default_rules())
+            out["stand_in_keys"] = len({(str(e.code), pipeline.stand_in_root(e.root, free)) for e in entries})
         if layer == "write_lexicon":
             start = time.perf_counter()
             arabverb.write_lexicon(forms, tsv)
@@ -253,6 +259,7 @@ def main():
             "lemma_tsv_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "forms": layers["generate_all"]["forms"],
             "failures": layers["generate_all"]["failures"],
+            "stand_in_keys": layers["generate_all"]["stand_in_keys"],
             "tsv_bytes": os.path.getsize(tsv),
             "tsv_sha256": sha256_of(tsv),
             "read_forms": layers["read_lexicon"]["forms"],

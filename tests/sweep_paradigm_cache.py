@@ -9,8 +9,8 @@ entries of one code share one cascade per renamed underlying form;
 ``generate_entry`` expands every entry itself.  This script compares the
 two on every bundled triliteral code x every root over the special
 consonants plus two free ones (so that keys hold roots that swap the two,
-and roots over m s T d ð þ, free for the cascade alone, share cascades
-across keys), and on a seeded sample of roots over all consonants for the
+and roots over m and s, free for the cascade alone, share cascades across
+keys), and on a seeded sample of roots over all consonants for the
 quadriliteral codes.  Forms, rule hits, failure messages and the pattern
 histogram must be equal.  It prints the paradigm count, the mismatch count and the wall time,
 and exits 1 on any mismatch.  It takes several minutes, so pytest does not

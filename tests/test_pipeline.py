@@ -654,7 +654,7 @@ def test_inflected_form_pickles_compares_and_hashes(sample_forms, sample_entries
 # stand-in root) and renames its radicals for the others; generate_entry
 # expands every entry itself.
 
-DEFAULT_SPECIAL = "TdmnstwyðþÁÂÉÍÚ"
+DEFAULT_SPECIAL = "mnstwyÁÂÉÍÚ"
 
 
 def test_special_consonants_cover_every_named_consonant(ruleset):
@@ -671,7 +671,7 @@ def test_special_consonants_cover_every_named_consonant(ruleset):
     assert named <= special
     assert special == set(DEFAULT_SPECIAL)
     free = pipeline.stand_ins(ruleset)
-    assert len(free) == 17 and not set(free) & special
+    assert len(free) == 21 and not set(free) & special
     assert set(free) | special == CONSONANTS
 
 
@@ -684,7 +684,7 @@ def test_special_consonants_follow_the_rule_set(ruleset):
 def test_stand_in_root_keeps_identity(ruleset):
     free = pipeline.stand_ins(ruleset)
     assert pipeline.stand_in_root("ktb", free) == free[0] + "t" + free[1]
-    assert pipeline.stand_in_root("mdd", free) == "mdd"
+    assert pipeline.stand_in_root("mdd", free) == "m" + free[0] * 2
     assert pipeline.stand_in_root("qrr", free) == free[0] + free[1] + free[1]
     assert pipeline.stand_in_root("zzz", free) == free[0] * 3
     assert pipeline.stand_in_root("zlzl", free) == (free[0] + free[1]) * 2
@@ -828,9 +828,10 @@ def _assert_cached_equals_direct(monkeypatch, entries, ruleset=None):
 @pytest.fixture(scope="module")
 def drawn_entries(ruleset, sample_entries):
     # Fixed letters, not derived from the code under test, so that a
-    # consonant wrongly left out of the special set shows as a mismatch.
+    # consonant wrongly left out of the special set shows as a mismatch:
+    # the special consonants and d T ð þ, which VIII puts before its t infix.
     codes = sorted({e.code for e in sample_entries}, key=str)
-    return _drawn_entries(codes, DEFAULT_SPECIAL, "".join(sorted(CONSONANTS)), 11)
+    return _drawn_entries(codes, "TdmnstwyðþÁÂÉÍÚ", "".join(sorted(CONSONANTS)), 11)
 
 
 def test_cache_equals_direct_generation(monkeypatch, drawn_entries):
@@ -876,15 +877,16 @@ def test_cache_equals_direct_under_a_rule_naming_m(monkeypatch, ruleset):
 
 # Roots over consonants that are free for the cascade but special for the
 # paradigm cache: every root is a key of its own, and the memo shares
-# cascades across keys.
+# cascades across keys.  With m and s the only two, a root can share only
+# with its swap, and only the forms that no affix or pattern m or s marks.
 def test_cascade_memo_shares_across_keys(monkeypatch, ruleset, sample_entries):
-    letters = "Tdmsðþ"
-    assert set(letters) <= ruleset.free & pipeline.special_consonants(ruleset)
+    letters = "ms"
+    assert set(letters) == ruleset.free & pipeline.special_consonants(ruleset)
     codes = sorted({e.code for e in sample_entries}, key=str)[::4]
     entries = _drawn_entries(codes, letters, letters, 5)
     _forms, _stats, (calls, distinct) = _assert_cached_equals_direct(monkeypatch, entries)
     assert len(codes) == 6
-    assert calls < distinct / 2
+    assert calls < 0.8 * distinct
 
 
 # A rule that writes a symbol beyond Latin-1, which the memo cannot rename
@@ -894,6 +896,28 @@ def test_cache_equals_direct_under_a_rule_writing_beyond_latin1(monkeypatch, rul
     entries = _drawn_entries([parse_code("00L0003")], "kb", "bkmqz", 6)
     _forms, stats, _cascades = _assert_cached_equals_direct(monkeypatch, entries, custom)
     assert any("MalformedInternal" in str(f) and "k" in f.root for f in stats.failures)
+
+
+# d T ð þ are stand-ins: the cascade reads them only as members of a
+# class, and VIII leaves them as they are before its t infix (Aid·taxara),
+# so roots that differ in them share one key and are renamed from its
+# first entry.
+def test_cache_equals_direct_on_roots_opened_by_d_t_dh_th(monkeypatch, ruleset):
+    free = pipeline.stand_ins(ruleset)
+    assert set("dTðþ") <= set(free)
+    rng = random.Random(23)
+    letters = "dTðþkbmtwy"
+    roots = ["dxr", "Tlç", "ðkr", "þbt"]
+    roots += [first + rng.choice(letters) + rng.choice(letters) for first in "dTðþ" for _ in range(6)]
+    assert len({pipeline.stand_in_root(root, free) for root in roots}) <= len(roots) / 2
+    codes = [parse_code(c) for c in ("01L0000", "00L0003", "00H1000", "10H0000", "00H4000", "04H0000")]
+    entries = [LexiconEntry("", root, code) for code in codes for root in roots]
+    forms, stats, _cascades = _assert_cached_equals_direct(monkeypatch, entries)
+    assert not stats.failures and len(forms) == 109 * len(entries)
+
+
+def test_viii_assimilation_lists_only_letters_it_changes():
+    assert all(source != target for source, target in VIII_ASSIMILATION.items())
 
 
 def test_cache_parallel_equals_serial(drawn_entries):
