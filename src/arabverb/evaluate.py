@@ -33,33 +33,34 @@ class EvalReport:
         return self.correct / evaluable if evaluable else 0.0
 
 
+def _rows(path):
+    """(lineno, fields) of each line of ``path`` that is neither blank nor a
+    comment; a file that is not UTF-8 is a BadLexicon."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.rstrip("\n")
+                if line and not line.startswith("#"):
+                    yield lineno, line.split("\t")
+    except UnicodeDecodeError as exc:
+        raise BadLexicon("%s is not UTF-8: byte 0x%02x (%s)" % (path, exc.object[exc.start], exc.reason)) from None
+
+
 def load_normalized(path):
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise BadLexicon("%s line %d: expected 5 columns, got %d"
-                                 % (path, lineno, len(fields)))
-            rows.append(tuple(fields))
+    for lineno, fields in _rows(path):
+        if len(fields) != 5:
+            raise BadLexicon("%s line %d: expected 5 columns, got %d" % (path, lineno, len(fields)))
+        rows.append(tuple(fields))
     return rows
 
 
 def load_exclusions(path):
     keys = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 4:
-                raise BadLexicon("%s line %d: expected at least 4 columns, got %d"
-                                 % (path, lineno, len(fields)))
-            keys.add(tuple(fields[:4]))
+    for lineno, fields in _rows(path):
+        if len(fields) < 4:
+            raise BadLexicon("%s line %d: expected at least 4 columns, got %d" % (path, lineno, len(fields)))
+        keys.add(tuple(fields[:4]))
     return keys
 
 

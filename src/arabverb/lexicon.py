@@ -169,12 +169,21 @@ def load_lexicon(path):
 
     Bad lines are reported, not fatal; the load fails only when no
     valid entry remains, with NoEntries carrying the reasons per line.
+    A line that is not UTF-8 is a bad line: each byte that does not
+    decode is read as a lone surrogate (U+DC80-U+DCFF), which no UTF-8
+    text holds and which str.encode rejects.
     """
     report = LoadReport()
     seen = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                report.diagnostics.append((lineno, "byte 0x%02x at character %d is not UTF-8"
+                                           % (ord(line[exc.start]) - 0xDC00, exc.start + 1)))
+                continue
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")

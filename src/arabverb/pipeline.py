@@ -18,6 +18,7 @@ from .errors import ArabverbError, BadLexicon, EntryFailed
 from .inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, Cell, inflect
 from .lexicon import CODEBOOK, resolve_class
 from .stems import VIII_ASSIMILATION, build_stems
+# to_script is not called here; the benchmark traces arabverb.pipeline.to_script, so it stays importable.
 from .translit import check_internal, to_script, to_scripts
 
 FORMS_PER_LEMMA = len(CELLS)  # 109
@@ -91,33 +92,6 @@ class GenStats:
 
 def _failed(entry, exc):
     return EntryFailed(entry.lemma or entry.root, type(exc).__name__, exc, entry.root, entry.code)
-
-
-def generate_entry(entry, ruleset=None, hits=None):
-    """All 109 inflected forms of one entry.
-
-    Cells that share an underlying form (2SM and 3SF imperfective, for
-    example) share its cascade: each distinct form is cascaded once, and
-    its rule hits count once for every cell that produced it.  This is the
-    reference that generate_all, with its caches, must equal.
-    """
-    rs = ruleset if ruleset is not None else rules.default_rules()
-    try:
-        stems = build_stems(entry)
-        underlying = [inflect(stems, cell) for cell in CELLS]
-        done = {}
-        for form, cells in Counter(underlying).items():
-            own = None if hits is None else {}
-            surface = rs.apply(form, own)
-            done[form] = surface, to_script(surface)
-            if own:
-                for rule_id, n in own.items():
-                    hits[rule_id] = hits.get(rule_id, 0) + cells * n
-        lemma, root, code = entry.lemma, entry.root, entry.code
-        return [InflectedForm(*done[form], lemma, root, code, cell)
-                for form, cell in zip(underlying, CELLS)]
-    except ArabverbError as exc:
-        raise _failed(entry, exc)
 
 
 # Paradigm cache.  Stems, chart and cascade read most radicals only as

@@ -209,8 +209,12 @@ def load_rules(path=None):
     A file that holds no rule is a BadRuleFile."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "surface_rules.tsv")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadRuleFile("rule file %s is not UTF-8: byte 0x%02x (%s)"
+                          % (path, exc.object[exc.start], exc.reason)) from None
     rules = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.startswith("#"):

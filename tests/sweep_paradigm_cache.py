@@ -5,16 +5,18 @@ direct generation.
 
 ``generate_all`` expands the first entry of each (code, stand-in root) and
 renames its radicals for the other entries of that key, and the first
-entries of one code share one cascade per renamed underlying form;
-``generate_entry`` expands every entry itself.  This script compares the
-two on every bundled triliteral code x every root over the special
-consonants plus two free ones (so that keys hold roots that swap the two,
-and roots over m and s, free for the cascade alone, share cascades across
-keys), and on a seeded sample of roots over all consonants for the
-quadriliteral codes.  Forms, rule hits, failure messages and the pattern
-histogram must be equal.  It prints the paradigm count, the mismatch count and the wall time,
-and exits 1 on any mismatch.  It takes several minutes, so pytest does not
-collect it (the file name does not start with ``test_``).
+entries of one code share one cascade per renamed underlying form; the
+reference (``tests/reference_generation.py``) expands every entry itself,
+one cascade per cell.  This script compares the two on every bundled
+triliteral code x every root over the special consonants plus two free
+ones (so that keys hold roots that swap the two, and roots over m and s,
+free for the cascade alone, share cascades across keys), and on a seeded
+sample of roots over all consonants for the quadriliteral codes.  Forms,
+rule hits, failure messages and the pattern histogram must be equal.  It
+prints the paradigm count, the count of chunks (of about 300 entries of
+one code) that mismatch and the wall time, and exits 1 on any mismatch.
+It takes several minutes, so pytest does not collect it (the file name
+does not start with ``test_``).
 """
 
 import argparse
@@ -26,9 +28,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
+import reference_generation  # noqa: E402
 from arabverb import lexicon, pipeline, rules  # noqa: E402
 from arabverb.alphabet import CONSONANTS  # noqa: E402
-from arabverb.errors import EntryFailed  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "..", "src", "arabverb", "data")
@@ -60,31 +62,11 @@ def chunks(code, roots, free):
 
 
 def compare(entries):
-    """Entries of distinct roots whose forms or failure differ between the
-    two paths, plus one if the rule hits, the failure list or the pattern
-    histogram differ."""
+    """1 if the forms, rule hits, failure messages or pattern histogram of
+    ``entries`` differ between the two paths, else 0."""
     forms, stats = pipeline.generate_all(entries)
-    cached = {}
-    for f in forms:
-        cached.setdefault(f.root, []).append(f)
-    cached_failures = [str(f) for f in stats.failures]
-    bad = 0
-    hits, failures, histogram = {}, [], {}
-    for entry in entries:
-        entry_hits = {}
-        try:
-            want = pipeline.generate_entry(entry, None, entry_hits)
-        except EntryFailed as exc:
-            failures.append(str(exc))
-            bad += str(exc) not in cached_failures
-            continue
-        bad += cached.get(entry.root) != want
-        for rule_id, n in entry_hits.items():
-            hits[rule_id] = hits.get(rule_id, 0) + n
-        label = lexicon.resolve_class(entry.code).label
-        histogram[label] = histogram.get(label, 0) + 1
-    bad += (stats.rule_hits, cached_failures, stats.pattern_histogram) != (hits, failures, histogram)
-    return bad
+    got = list(forms), stats.rule_hits, [str(f) for f in stats.failures], stats.pattern_histogram
+    return int(got != reference_generation.generate(entries))
 
 
 def main():

@@ -12,10 +12,9 @@ import pytest
 from conftest import GOLD_FORMS, GOLD_LEXICON, SAMPLE_LEXICON
 from oracle_traditional import conjugate
 
-from arabverb import analyzer, evaluate, pipeline, rules
-from arabverb.inflect import CELLS, Cell, inflect
+from arabverb import analyzer, evaluate, pipeline
+from arabverb.inflect import CELLS, Cell
 from arabverb.lexicon import LexiconEntry, load_lexicon, parse_code
-from arabverb.stems import build_stems
 
 # Table of the full active paradigm of the demonstration verb (13 cells
 # of the perfective, 13 per imperfective mood, 5 imperatives), fixed by
@@ -87,19 +86,20 @@ TABLE1_LEMMAS = [
 ]
 
 
-def _lemma(root, code):
-    entry = LexiconEntry(lemma="", root=root, code=parse_code(code))
-    return pipeline.generate_entry(entry)[0].surface
+def _paradigms(pairs):
+    """The cell -> surface map of each (root, code), from one generate_all."""
+    entries = [LexiconEntry(lemma="", root=root, code=parse_code(code)) for root, code in pairs]
+    forms, stats = pipeline.generate_all(entries)
+    assert not stats.failures
+    return [dict(zip(CELLS, p.surfaces)) for p in forms.paradigms]
 
 
 def test_criterion_1_table2_reproduction():
     start = time.monotonic()
-    entry = LexiconEntry(lemma="", root="fçl", code=parse_code("00L0003"))
-    stems = build_stems(entry)
-    rs = rules.default_rules()
+    surfaces, = _paradigms([("fçl", "00L0003")])
     mismatches = []
     for (tag, paradigm), expected in TABLE2_ACTIVE.items():
-        got = rs.apply(inflect(stems, Cell(tag, paradigm, "ACT")))
+        got = surfaces[Cell(tag, paradigm, "ACT")]
         if got != expected:
             mismatches.append((tag, paradigm, expected, got))
     elapsed = time.monotonic() - start
@@ -111,10 +111,11 @@ def test_criterion_1_table2_reproduction():
 
 def test_criterion_2_table1_reproduction():
     start = time.monotonic()
+    paradigms = _paradigms([(root, code) for root, code, _expected, _flag in TABLE1_LEMMAS])
     mismatches = [
-        (root, code, expected, _lemma(root, code))
-        for root, code, expected, _flag in TABLE1_LEMMAS
-        if _lemma(root, code) != expected
+        (root, code, expected, paradigm[CELLS[0]])
+        for (root, code, expected, _flag), paradigm in zip(TABLE1_LEMMAS, paradigms)
+        if paradigm[CELLS[0]] != expected
     ]
     elapsed = time.monotonic() - start
     assert len(TABLE1_LEMMAS) == 24
@@ -124,26 +125,22 @@ def test_criterion_2_table1_reproduction():
 
 
 def test_criterion_3_paradigm_size_law(sample_entries, gold_entries, sample_forms):
-    for entry in list(sample_entries) + list(gold_entries):
-        assert len(pipeline.generate_entry(entry)) == 109
+    forms, stats = pipeline.generate_all(list(sample_entries) + list(gold_entries))
+    assert not stats.failures and {len(p.surfaces) for p in forms.paradigms} == {109}
     assert len(sample_forms) == 109 * len(sample_entries)
     assert 15452 * 109 == 1684268
     print("PASS criterion 3: |paradigm| = 109 for every entry; 15,452 x 109 = 1,684,268")
 
 
 def test_criterion_4_named_irregulars():
-    rs = rules.default_rules()
-
-    def surface(root, code, tag, paradigm, voice):
-        entry = LexiconEntry(lemma="", root=root, code=parse_code(code))
-        return rs.apply(inflect(build_stems(entry), Cell(tag, paradigm, voice)))
-
+    qwl, wfq, mrr, wrth = _paradigms([("qwl", "00L0003"), ("wfq", "01L0000"),
+                                      ("mrr", "04H0000"), ("wrþ", "00L0202")])
     checks = [
-        (surface("qwl", "00L0003", "3SM", "PERF", "PAS"), "qiyla"),
-        (_lemma("wfq", "01L0000"), "Ait~afaqa"),
-        (_lemma("mrr", "04H0000"), "Ais·tamar~a"),
-        (surface("qwl", "00L0003", "2SM", "PERF", "ACT"), "qul·ta"),
-        (surface("wrþ", "00L0202", "3SM", "IMPF-IND", "ACT"), "yariþu"),
+        (qwl[Cell("3SM", "PERF", "PAS")], "qiyla"),
+        (wfq[CELLS[0]], "Ait~afaqa"),
+        (mrr[CELLS[0]], "Ais·tamar~a"),
+        (qwl[Cell("2SM", "PERF", "ACT")], "qul·ta"),
+        (wrth[Cell("3SM", "IMPF-IND", "ACT")], "yariþu"),
     ]
     for got, expected in checks:
         assert got == expected, (got, expected)

@@ -158,7 +158,7 @@ GENERATING_COMMANDS = {
 
 def _run(command, tmp_path, text):
     lexicon = tmp_path / "lex.tsv"
-    lexicon.write_text(text, encoding="utf-8")
+    lexicon.write_text(text, encoding="utf-8", errors="surrogateescape")  # a lone surrogate writes its byte
     argv = GENERATING_COMMANDS[command] + ["--lexicon", lexicon.as_posix()]
     if command == "generate":
         argv += ["--out", (tmp_path / "out.tsv").as_posix()]
@@ -170,6 +170,31 @@ def test_every_generating_command_reports_failed_entries(tmp_path, capsys, comma
     assert _run(command, tmp_path, QI_ON_THREE_RADICALS) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "entry kataba failed at OpOutOfRange" in err[0]
+
+
+# A UTF-16 byte order mark is not UTF-8: it rejects its line, and the
+# other lines still generate.
+@pytest.mark.parametrize("command", GENERATING_COMMANDS)
+def test_every_generating_command_reports_a_line_not_utf8(tmp_path, capsys, command):
+    assert _run(command, tmp_path, "\udcff\udcfe\n" + QI_ON_THREE_RADICALS.splitlines(True)[0]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "%s:1: byte 0xff at character 1 is not UTF-8\n" % (tmp_path / "lex.tsv").as_posix()
+    assert captured.out
+
+
+# Any other input file that is not UTF-8 is a domain error.
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--reference", "{bad}", "--generated", "{bad}", "--report", "{out}"],
+    ["generate", "--lexicon", SAMPLE_LEXICON, "--rules", "{bad}", "--out", "{out}"],
+], ids=["evaluate", "generate-rules"])
+def test_input_file_not_utf8_is_domain_error(tmp_path, capsys, argv):
+    bad, out = tmp_path / "bad.tsv", tmp_path / "out.tsv"
+    bad.write_bytes(b"\xff\xfe" + "façala\t3SM\tPERF\tACT\tfaçala\n".encode("utf-8"))
+    assert main([arg.format(bad=bad.as_posix(), out=out.as_posix()) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.endswith(
+        "%s is not UTF-8: byte 0xff (invalid start byte)\n" % bad.as_posix())
+    assert "Traceback" not in captured.err and not captured.out and not out.exists()
 
 
 # No valid line, or no valid entry that generates: the reasons, then the error.

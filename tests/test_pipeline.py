@@ -10,10 +10,12 @@ import sys
 import threading
 
 import pytest
+import reference_generation as reference
 
+import arabverb
 from arabverb import errors, pipeline, rules
 from arabverb.alphabet import CONSONANTS
-from arabverb.errors import ArabverbError, EntryFailed
+from arabverb.errors import ArabverbError
 from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_SUFFIX, Cell, inflect
 from arabverb.lexicon import CODEBOOK, QUADRILITERAL, LexiconEntry, parse_code, resolve_class
 from arabverb.stems import VIII_ASSIMILATION, build_stems
@@ -26,7 +28,7 @@ def test_exact_count_law(sample_forms, sample_entries):
 
 # generate_all returns a Forms: one Paradigm per entry, read as a sequence
 # of InflectedForm views in input order, then CELLS order.  That iteration
-# equals generate_entry per entry is checked with the paradigm cache below.
+# equals the reference, entry by entry, is checked with the paradigm cache below.
 
 def test_forms_index_and_slice_as_a_list(sample_forms):
     listed = list(sample_forms)
@@ -53,6 +55,12 @@ def test_forms_equal_when_their_paradigms_are(sample_forms):
     assert sample_forms != list(sample_forms)  # a Forms equals only a Forms
     with pytest.raises(TypeError):
         hash(sample_forms)
+
+
+# generate_all is the one expansion path; the per-entry one is the tests' reference.
+def test_public_names_resolve():
+    assert all(hasattr(arabverb, name) for name in arabverb.__all__)
+    assert not hasattr(arabverb, "generate_entry") and not hasattr(pipeline, "generate_entry")
 
 
 def test_large_lexicon_arithmetic():
@@ -101,11 +109,9 @@ def test_root_outside_the_alphabet_fails_only_its_entry():
     bad = LexiconEntry(lemma="", root="k\nb", code=parse_code("00L0003"))
     other = LexiconEntry(lemma="", root="drs", code=parse_code("00L0003"))
     forms, stats = pipeline.generate_all([good, bad, other])
-    assert list(forms) == pipeline.generate_entry(good) + pipeline.generate_entry(other)
-    with pytest.raises(EntryFailed) as err:
-        pipeline.generate_entry(bad)
-    assert [str(f) for f in stats.failures] == [str(err.value)]
-    assert err.value.stage == "MalformedInternal" and "'\\n' not in alphabet" in str(err.value)
+    want, _hits, failures, _histogram = reference.generate([good, bad, other])
+    assert list(forms) == want and [str(f) for f in stats.failures] == failures
+    assert stats.failures[0].stage == "MalformedInternal" and "'\\n' not in alphabet" in failures[0]
 
 
 # One instance of every ArabverbError subclass whose __init__ is not the
@@ -651,8 +657,8 @@ def test_inflected_form_pickles_compares_and_hashes(sample_forms, sample_entries
 
 
 # Paradigm cache: generate_all expands the first entry of each (code,
-# stand-in root) and renames its radicals for the others; generate_entry
-# expands every entry itself.
+# stand-in root) and renames its radicals for the others; the reference
+# (tests/reference_generation.py) expands every entry itself, cell by cell.
 
 DEFAULT_SPECIAL = "mnstwyÁÂÉÍÚ"
 
@@ -688,64 +694,6 @@ def test_stand_in_root_keeps_identity(ruleset):
     assert pipeline.stand_in_root("qrr", free) == free[0] + free[1] + free[1]
     assert pipeline.stand_in_root("zzz", free) == free[0] * 3
     assert pipeline.stand_in_root("zlzl", free) == (free[0] + free[1]) * 2
-
-
-def _per_cell(entry, ruleset, hits):
-    """generate_entry without sharing: one cascade per cell."""
-    stems = build_stems(entry)
-    out = []
-    for cell in CELLS:
-        surface = ruleset.apply(inflect(stems, cell), hits)
-        out.append(pipeline.InflectedForm(surface, to_script(surface), entry.lemma,
-                                          entry.root, str(entry.code), cell))
-    return out
-
-
-CUSTOM_HEAD = (
-    rules.make_rule("s01", "phono", "a", "", "#C", "C"),
-    rules.make_rule("s02", "phono", "aC", "a11", "", "a"),
-)
-
-
-@pytest.mark.parametrize("custom", [False, True], ids=["bundled", "custom"])
-def test_generate_entry_cascades_each_distinct_form_once(
-        monkeypatch, sample_entries, gold_entries, ruleset, custom):
-    if custom:
-        ruleset = rules.RuleSet(CUSTOM_HEAD + ruleset.rules)
-    applied = _count_cascaded(monkeypatch)
-    shared, fired = 0, set()
-    for entry in list(sample_entries) + list(gold_entries):
-        expected_hits, hits = {}, {}
-        expected = _per_cell(entry, ruleset, expected_hits)
-        del applied[:]
-        forms = pipeline.generate_entry(entry, ruleset, hits)
-        stems = build_stems(entry)
-        underlying = [inflect(stems, cell) for cell in CELLS]
-        assert sorted(applied) == sorted(set(underlying))
-        assert forms == expected
-        assert hits == expected_hits
-        shared += len(underlying) - len(applied)
-        fired.update(hits)
-    assert shared > 1000
-    if custom:
-        assert {"s01", "s02"} <= fired
-
-
-def _direct(entries, ruleset=None):
-    """generate_all's (forms, rule hits, failures, histogram), one entry at a time."""
-    forms, hits, failures, histogram = [], {}, [], {}
-    for entry in entries:
-        entry_hits = {}
-        try:
-            forms.extend(pipeline.generate_entry(entry, ruleset, entry_hits))
-        except EntryFailed as exc:
-            failures.append(str(exc))
-            continue
-        for rule_id, n in entry_hits.items():
-            hits[rule_id] = hits.get(rule_id, 0) + n
-        label = resolve_class(entry.code).label
-        histogram[label] = histogram.get(label, 0) + 1
-    return forms, hits, failures, histogram
 
 
 def _drawn_entries(codes, openers, letters, seed):
@@ -809,13 +757,13 @@ def _distinct_forms_per_key(entries, ruleset):
 
 
 def _assert_cached_equals_direct(monkeypatch, entries, ruleset=None):
-    """generate_all equals generate_entry per entry, and its cascade memo
+    """generate_all equals the reference, and its cascade memo
     runs no more cascades than the keys have distinct forms.  Returns the
     forms, the stats and (cascades run, distinct forms of the keys)."""
     with monkeypatch.context() as patch:
         applied = _count_cascaded(patch)
         forms, stats = pipeline.generate_all(entries, ruleset)
-    direct_forms, hits, failures, histogram = _direct(entries, ruleset)
+    direct_forms, hits, failures, histogram = reference.generate(entries, ruleset)
     assert list(forms) == direct_forms
     assert stats.rule_hits == hits
     assert [str(f) for f in stats.failures] == failures
@@ -834,12 +782,24 @@ def drawn_entries(ruleset, sample_entries):
     return _drawn_entries(codes, "TdmnstwyðþÁÂÉÍÚ", "".join(sorted(CONSONANTS)), 11)
 
 
-def test_cache_equals_direct_generation(monkeypatch, drawn_entries):
+# Two rules in front of the bundled ones: s01 drops an a between a form's
+# first consonant and the next, s02 doubles a consonant between two a's.
+CUSTOM_HEAD = (
+    rules.make_rule("s01", "phono", "a", "", "#C", "C"),
+    rules.make_rule("s02", "phono", "aC", "a11", "", "a"),
+)
+
+
+def test_cache_equals_direct_generation(monkeypatch, drawn_entries, sample_entries, gold_entries, ruleset):
     forms, stats, (calls, distinct) = _assert_cached_equals_direct(monkeypatch, drawn_entries)
     assert calls < distinct
     assert len({str(e.code) for e in drawn_entries}) == 24
     assert len(stats.failures) == 3 * 24  # the wrong-length roots
     assert forms
+    custom = rules.RuleSet(CUSTOM_HEAD + ruleset.rules)
+    _forms, stats, _cascades = _assert_cached_equals_direct(
+        monkeypatch, list(sample_entries) + list(gold_entries), custom)
+    assert {"s01", "s02"} <= set(stats.rule_hits)
 
 
 # drawn_entries come in per-code blocks; shuffled, the codes, stand-in

@@ -172,10 +172,9 @@ def test_rare_orthographic_rules(rule_id, given, expected):
 
 
 def test_every_rule_exercised(sample_entries, gold_entries, ruleset):
-    hits = {}
-    for entry in list(sample_entries) + list(gold_entries):
-        pipeline.generate_entry(entry, ruleset, hits)
-    fired = set(hits)
+    _forms, stats = pipeline.generate_all(list(sample_entries) + list(gold_entries), ruleset)
+    assert not stats.failures
+    fired = set(stats.rule_hits)
     unit_fixture_rules = {"o06", "o14", "o19", "o21", "o29", "o30"}
     expected_idle = unit_fixture_rules
     all_ids = {rule.id for rule in ruleset.rules}
@@ -183,9 +182,9 @@ def test_every_rule_exercised(sample_entries, gold_entries, ruleset):
 
 
 def test_cascade_deterministic(sample_entries, ruleset):
-    forms1 = [f.surface for f in pipeline.generate_entry(sample_entries[0], ruleset)]
-    forms2 = [f.surface for f in pipeline.generate_entry(sample_entries[0], ruleset)]
-    assert forms1 == forms2
+    forms1, stats1 = pipeline.generate_all(sample_entries[:1], ruleset)
+    forms2, stats2 = pipeline.generate_all(sample_entries[:1], ruleset)
+    assert len(forms1) == 109 and (forms1, stats1.rule_hits) == (forms2, stats2.rule_hits)
 
 
 def test_fixed_point_on_generated(sample_forms, ruleset):
