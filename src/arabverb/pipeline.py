@@ -97,10 +97,9 @@ def _failed(entry, exc):
 # Paradigm cache.  Stems, chart and cascade read most radicals only as
 # members of a class (C, K, M); a few they compare by identity.  Two roots
 # that differ only in the other radicals, equal ones staying equal, have
-# the same paradigm up to renaming those radicals.  So _expand_code
-# cascades the first entry of each stand-in root of its code and gives
-# the other entries of that stand-in root its forms with their own
-# radicals.
+# the same paradigm up to renaming those radicals.  So the entries of one
+# code and stand-in root share one paradigm (_stand_in_paradigms), renamed
+# for each of them (_expand_code).
 
 
 def special_consonants(ruleset):
@@ -144,13 +143,13 @@ _UNCHANGED = bytes(range(256))
 
 
 # Cascade memo.  The cascade reads the consonants of ``RuleSet.free`` only
-# as members of a class, so it commutes with any permutation of them.  Each
-# entry renames its free radicals to the first stand-ins, which no affix or
-# codebook op writes, so that pattern letters such as m and s stay in
-# place; entries of one code whose forms then coincide share one cascade
-# per renamed form.  The memo lives for one code, and its forms are
-# cascaded as one batch (RuleSet.apply_many): one memo for all codes holds
-# many more forms for few more hits.
+# as members of a class, so it commutes with any permutation of them.  A
+# stand-in root is cascaded in canonical letters: its free radicals renamed
+# to the first stand-ins, which no affix or codebook op writes, so that
+# pattern letters such as m and s stay in place.  Stand-in roots of one code
+# whose forms then coincide share one cascade per form.  The memo lives
+# for one code, and its forms are cascaded as one batch (RuleSet.apply_many):
+# one memo for all codes holds many more forms for few more hits.
 
 
 def _renaming(root, free, targets):
@@ -184,80 +183,76 @@ def _translate(strings, table):
     return text.split("\n")
 
 
-def _expand_code(entries, ruleset, stand, targets):
-    """The (paradigm, rule hits) or EntryFailed of each of ``entries``, all
-    of one code, in their order.
-
-    Pass 1 builds the underlying forms of the first entry of each stand-in
-    root (over ``stand``), renamed so that ``targets``, which orders
-    ``RuleSet.free`` stand-ins first, take its free radicals; the code's
-    distinct renamed forms are cascaded in one batch.  Pass 2 builds the
-    paradigm of each first entry from the batch, each distinct surface
-    checked by check_internal, and then gives each other entry of its
-    stand-in root the same surfaces with its own radicals: well_formed does
-    not change when one consonant replaces another, so the other entries of
-    a first entry that fails fail as it does.  An entry that fails in pass 1
-    fills no stand-in root, so the next entry of it is expanded in turn and
-    its failure names its own root.  Module-level so that a process pool
-    can send it to its workers.
-    """
-    rs = ruleset if ruleset is not None else rules.default_rules()
-    out = [None] * len(entries)
-    memo = {}  # renamed underlying form -> its position in the batch
-    firsts = {}  # stand-in root -> index of its first entry
-    pending = []  # (index, batch position of each cell's form) of each first entry
-    others = []  # (index, index of the first entry of its stand-in root)
-    for i, entry in enumerate(entries):
+def _stand_in_paradigms(entries, ruleset, stand, targets):
+    """(keys, paradigms) of ``entries``, all of one code.  keys holds each
+    entry's stand-in root (over ``stand``), or its EntryFailed if its forms
+    do not build; it fills no key, so the next entry of that key is built.
+    paradigms maps each key to the paradigm of its first entry that builds,
+    in canonical letters (its free radicals renamed to ``targets`` in order
+    of first appearance): (the batch position of each cell, the distinct
+    positions, their surfaces, the summed rule hits), or the error that
+    check_internal raised for one of its surfaces.  The code's distinct
+    canonical underlying forms are cascaded in one batch."""
+    keys = []
+    memo = {}  # canonical underlying form -> its position in the batch
+    pending = {}  # key -> batch position of each cell's form
+    for entry in entries:
         key = stand_in_root(entry.root, stand)
-        if key in firsts:
-            others.append((i, firsts[key]))
-            continue
-        try:
-            stems = build_stems(entry)
-            underlying = [inflect(stems, cell) for cell in CELLS]
-        except ArabverbError as exc:
-            out[i] = _failed(entry, exc)
-            continue
-        renaming = _renaming(entry.root, rs.free, targets)
-        if renaming is not None:
-            underlying = _translate(underlying, renaming[0])
-        firsts[key] = i
-        pending.append((i, tuple([memo.setdefault(form, len(memo)) for form in underlying])))
-    surfaces, form_hits = rs.apply_many(list(memo))
+        if key not in pending:
+            try:
+                stems = build_stems(entry)
+                underlying = [inflect(stems, cell) for cell in CELLS]
+            except ArabverbError as exc:
+                keys.append(_failed(entry, exc))
+                continue
+            renaming = _renaming(entry.root, ruleset.free, targets)
+            if renaming is not None:
+                underlying = _translate(underlying, renaming[0])
+            pending[key] = tuple([memo.setdefault(form, len(memo)) for form in underlying])
+        keys.append(key)
+    surfaces, form_hits = ruleset.apply_many(list(memo))
     del memo
-    for i, positions in pending:
-        entry = entries[i]
+    paradigms = {}
+    for key, positions in pending.items():
         counts = Counter(positions)  # batch position -> cells, in order of first appearance
         distinct = [surfaces[p] for p in counts]
-        renaming = _renaming(entry.root, rs.free, targets)
-        if renaming is not None:
-            distinct = _translate(distinct, renaming[1])
         try:
             for surface in distinct:
                 check_internal(surface)
         except ArabverbError as exc:
-            out[i] = _failed(entry, exc)
+            paradigms[key] = exc
             continue
-        surface_of = dict(zip(counts, distinct))
         hits = {}
         for p, cells in counts.items():
             for rule_id, n in form_hits[p].items():
                 hits[rule_id] = hits.get(rule_id, 0) + cells * n
-        out[i] = Paradigm(entry.lemma, entry.root, entry.code,
-                          tuple(map(surface_of.__getitem__, positions))), hits
-    del surfaces, form_hits, pending  # so that they do not add to the peak of the renaming
-    for i, first in others:
-        entry, result = entries[i], out[first]
-        if isinstance(result, EntryFailed):
-            out[i] = _failed(entry, result.cause)
-            continue
-        paradigm, hits = result
-        table = bytearray(_UNCHANGED)
-        for old, new in zip(paradigm.root, entry.root):
-            table[ord(old)] = ord(new)
-        distinct = list(dict.fromkeys(paradigm.surfaces))  # its cells share one string, as in a first entry
-        renamed = dict(zip(distinct, _translate(distinct, table)))
-        out[i] = Paradigm(entry.lemma, entry.root, entry.code, tuple(map(renamed.__getitem__, paradigm.surfaces))), hits
+        paradigms[key] = positions, list(counts), distinct, hits
+    return keys, paradigms
+
+
+def _expand_code(entries, ruleset, stand, targets):
+    """The (paradigm, rule hits) or EntryFailed of each of ``entries``, all
+    of one code, in their order: its stand-in root's paradigm renamed by
+    the inverse of its own renaming, or that paradigm's error (renaming
+    free consonants changes neither what check_internal rejects nor its
+    message).  Module-level so that a process pool can send it to workers.
+    """
+    rs = ruleset if ruleset is not None else rules.default_rules()
+    keys, paradigms = _stand_in_paradigms(entries, rs, stand, targets)
+    out = []
+    for entry, key in zip(entries, keys):
+        if isinstance(key, EntryFailed):
+            out.append(key)
+        elif isinstance(paradigms[key], ArabverbError):
+            out.append(_failed(entry, paradigms[key]))
+        else:
+            positions, distinct_positions, distinct, hits = paradigms[key]
+            renaming = _renaming(entry.root, rs.free, targets)
+            if renaming is not None:
+                distinct = _translate(distinct, renaming[1])
+            surface_of = dict(zip(distinct_positions, distinct))
+            out.append((Paradigm(entry.lemma, entry.root, entry.code,
+                                 tuple(map(surface_of.__getitem__, positions))), hits))
     return out
 
 
@@ -266,9 +261,8 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
 
     Returns (forms, stats): forms is a Forms over one Paradigm per entry
     that generated, in input order.  The entries of each code are expanded
-    together (see _expand_code): the first entry of each stand-in root
-    (see special_consonants) through the code's cascade memo, the others
-    renamed from it.  With workers > 1 the codes are expanded in a process
+    together (see _expand_code): one paradigm per stand-in root (see
+    special_consonants), renamed for each entry.  With workers > 1 the codes are expanded in a process
     pool, one task each; the output is identical to a serial run.  With
     strict=True an entry whose 3SM perfective active surface (CELLS[0]) is
     not its lemma fails as well.
@@ -379,50 +373,55 @@ def read_lexicon(path):
     by row; a row splits once, into five columns and its cell's tail in
     ``_CELL_INDEX``.  Only a line that misses it (the header, a comment, a
     blank line, a last row with no line end, a malformed row) is split in
-    full and checked.  The script column is not read: it is derived."""
+    full and checked.  The script column is not read: it is derived.  A
+    file that is not UTF-8 raises, naming the file and the byte."""
     paradigms = []  # [lemma, root, code, surfaces, last line] of each, as opened
     run_lemma = run_code = None  # the (lemma, code) of the current run of rows
     opened = {}  # root -> the paradigms of the current run
     resolved = set()  # the codes whose class resolves
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            fields = raw.split("\t", 5)
-            i = _CELL_INDEX.get(fields[-1])
-            if i is None or raw[0] == "#":
-                line = raw.rstrip("\n")
-                if not line or line[0] == "#":
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 8:
-                    raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
-                try:
-                    Cell(*fields[5:])  # raises for an illegal cell
-                except ArabverbError as exc:
-                    raise ArabverbError("line %d: %s" % (lineno, exc))
-                fields = (line + "\n").split("\t", 5)
-                i = _CELL_INDEX[fields[5]]
-            _script, surface, lemma, root, code, _tail = fields
-            if lemma != run_lemma or code != run_code:
-                if code not in resolved:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                fields = raw.split("\t", 5)
+                i = _CELL_INDEX.get(fields[-1])
+                if i is None or raw[0] == "#":
+                    line = raw.rstrip("\n")
+                    if not line or line[0] == "#":
+                        continue
+                    fields = line.split("\t")
+                    if len(fields) != 8:
+                        raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
                     try:
-                        resolve_class(code)
+                        Cell(*fields[5:])  # raises for an illegal cell
                     except ArabverbError as exc:
                         raise ArabverbError("line %d: %s" % (lineno, exc))
-                    resolved.add(code)
-                run_lemma, run_code, opened = lemma, code, {}
-            if i == 0:
-                p = [lemma, root, code, [], lineno]
-                paradigms.append(p)
-                opened.setdefault(root, []).append(p)
-            else:
-                for p in opened.get(root, ()):
-                    if len(p[3]) == i:
-                        p[4] = lineno
-                        break
+                    fields = (line + "\n").split("\t", 5)
+                    i = _CELL_INDEX[fields[5]]
+                _script, surface, lemma, root, code, _tail = fields
+                if lemma != run_lemma or code != run_code:
+                    if code not in resolved:
+                        try:
+                            resolve_class(code)
+                        except ArabverbError as exc:
+                            raise ArabverbError("line %d: %s" % (lineno, exc))
+                        resolved.add(code)
+                    run_lemma, run_code, opened = lemma, code, {}
+                if i == 0:
+                    p = [lemma, root, code, [], lineno]
+                    paradigms.append(p)
+                    opened.setdefault(root, []).append(p)
                 else:
-                    raise ArabverbError("line %d: no open paradigm of %s %s %s is due cell %s"
-                                        % (lineno, lemma, root, code, CELLS[i]))
-            p[3].append(surface)
+                    for p in opened.get(root, ()):
+                        if len(p[3]) == i:
+                            p[4] = lineno
+                            break
+                    else:
+                        raise ArabverbError("line %d: no open paradigm of %s %s %s is due cell %s"
+                                            % (lineno, lemma, root, code, CELLS[i]))
+                p[3].append(surface)
+    except UnicodeDecodeError as exc:
+        raise ArabverbError("%s is not UTF-8: byte 0x%02x (%s)"
+                            % (path, exc.object[exc.start], exc.reason)) from None
     for j, (lemma, root, code, surfaces, lineno) in enumerate(paradigms):
         if len(surfaces) != FORMS_PER_LEMMA:
             raise ArabverbError("line %d: paradigm of %s %s %s ends after %d of %d cells"

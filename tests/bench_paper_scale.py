@@ -27,7 +27,9 @@ It writes ``BENCH_paper_<label>.json`` to ``--out`` (default: the
 repository root) with each layer's time and RSS, the forms, failures,
 bytes and sha256 of the TSV, the (code, stand-in root) keys of the
 paradigm cache (``stand_in_keys``, counted after generate_all is timed),
-the count, p50 and p99 (nearest rank) of the query latencies per kind
+the forms it passes to ``RuleSet.apply_many`` (``cascaded_forms``,
+counted in a second run after its peak RSS is taken), the count, p50 and
+p99 (nearest rank) of the query latencies per kind
 and pooled, the interpreter, ``nproc`` and the commit.
 ``--src`` measures another checkout's ``src``.  It exits 1 unless there
 are 1,684,268 forms, no failure and every query answered.  It takes
@@ -136,6 +138,9 @@ def run_layer(layer, src, lemmas, tsv):
             wall = time.perf_counter() - start
             out.update(index_entries=len(index))
     out.update(wall_s=round(wall, 3), peak_rss_mb=round(peak_rss_mb(), 1))
+    if layer == "generate_all":
+        del forms
+        out["cascaded_forms"] = cascaded_forms(entries)
     if layer == "FormIndex":
         queries = paper_queries(forms.paradigms, arabverb.CELLS, arabverb.to_script)
         del forms
@@ -145,6 +150,25 @@ def run_layer(layer, src, lemmas, tsv):
         out["queries"] = dict(wall_s=round(wall, 3), peak_rss_mb=round(peak_rss_mb(), 1),
                               latency=latency, missed=missed)
     return out
+
+
+def cascaded_forms(entries):
+    """The count of forms that generate_all passes to RuleSet.apply_many,
+    from a second, untimed run of it with that method wrapped."""
+    from arabverb import generate_all, rules
+
+    apply_many, passed = rules.RuleSet.apply_many, []
+
+    def counted(self, forms):
+        passed.append(len(forms))
+        return apply_many(self, forms)
+
+    rules.RuleSet.apply_many = counted
+    try:
+        generate_all(entries)
+    finally:
+        rules.RuleSet.apply_many = apply_many
+    return sum(passed)
 
 
 def _partial(text, marks, rng):
@@ -260,6 +284,7 @@ def main():
             "forms": layers["generate_all"]["forms"],
             "failures": layers["generate_all"]["failures"],
             "stand_in_keys": layers["generate_all"]["stand_in_keys"],
+            "cascaded_forms": layers["generate_all"]["cascaded_forms"],
             "tsv_bytes": os.path.getsize(tsv),
             "tsv_sha256": sha256_of(tsv),
             "read_forms": layers["read_lexicon"]["forms"],

@@ -3,9 +3,9 @@ direct generation.
 
     python3 tests/sweep_paradigm_cache.py [--quad-roots N] [--seed S]
 
-``generate_all`` expands the first entry of each (code, stand-in root) and
-renames its radicals for the other entries of that key, and the first
-entries of one code share one cascade per renamed underlying form; the
+``generate_all`` builds one paradigm per (code, stand-in root) in canonical
+letters and renames it for each entry of that key, and the stand-in roots
+of one code share one cascade per canonical underlying form; the
 reference (``tests/reference_generation.py``) expands every entry itself,
 one cascade per cell.  This script compares the two on every bundled
 triliteral code x every root over the special consonants plus two free

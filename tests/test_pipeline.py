@@ -258,6 +258,18 @@ def test_read_rejects_short_row(tmp_path):
         pipeline.read_lexicon(path.as_posix())
 
 
+# A file that is not UTF-8 fails as a malformed row does, naming the file
+# and the byte: a UTF-16 byte order mark, or a bad byte in a row.
+@pytest.mark.parametrize("where", ["start", "row"])
+def test_read_names_a_file_that_is_not_utf8(tmp_path, sample_forms, where):
+    path = tmp_path / "inflected.tsv"
+    pipeline.write_lexicon(pipeline.Forms(sample_forms.paradigms[:1]), path.as_posix())
+    data = path.read_bytes()
+    path.write_bytes(b"\xff\xfe" + data if where == "start" else data.replace(b"\t", b"\t\xff", 30))
+    with pytest.raises(ArabverbError, match="^%s is not UTF-8: byte 0xff " % re.escape(path.as_posix())):
+        pipeline.read_lexicon(path.as_posix())
+
+
 def test_read_skips_comments_and_blanks_across_line_ends(tmp_path, sample_forms):
     path = tmp_path / "inflected.tsv"
     forms = pipeline.Forms(sample_forms.paradigms[1:3])
@@ -656,9 +668,10 @@ def test_inflected_form_pickles_compares_and_hashes(sample_forms, sample_entries
             del record.tag
 
 
-# Paradigm cache: generate_all expands the first entry of each (code,
-# stand-in root) and renames its radicals for the others; the reference
-# (tests/reference_generation.py) expands every entry itself, cell by cell.
+# Paradigm cache: generate_all builds one paradigm per (code, stand-in
+# root) in canonical letters and renames it for each of its entries; the
+# reference (tests/reference_generation.py) expands every entry itself,
+# cell by cell.
 
 DEFAULT_SPECIAL = "mnstwyÁÂÉÍÚ"
 
@@ -860,8 +873,7 @@ def test_cache_equals_direct_under_a_rule_writing_beyond_latin1(monkeypatch, rul
 
 # d T ð þ are stand-ins: the cascade reads them only as members of a
 # class, and VIII leaves them as they are before its t infix (Aid·taxara),
-# so roots that differ in them share one key and are renamed from its
-# first entry.
+# so roots that differ in them share one key, whose paradigm each renames.
 def test_cache_equals_direct_on_roots_opened_by_d_t_dh_th(monkeypatch, ruleset):
     free = pipeline.stand_ins(ruleset)
     assert set("dTðþ") <= set(free)
@@ -874,6 +886,33 @@ def test_cache_equals_direct_on_roots_opened_by_d_t_dh_th(monkeypatch, ruleset):
     entries = [LexiconEntry("", root, code) for code in codes for root in roots]
     forms, stats, _cascades = _assert_cached_equals_direct(monkeypatch, entries)
     assert not stats.failures and len(forms) == 109 * len(entries)
+
+
+# The stage builds a key's paradigm in canonical letters, which hold none
+# of the radicals of its roots, so it is the same whichever entry comes
+# first; an entry that fails to build names its own root, also when the
+# next entry of its key fails too.
+@pytest.mark.parametrize("code", ["00L0003", "10H0000", "01L0000", "04H0000"])  # I, IV, VIII, X
+@pytest.mark.parametrize("shape", ["m{0}{0}", "{0}ss"])
+def test_stand_in_paradigm_is_the_same_whichever_entry_comes_first(ruleset, code, shape):
+    code = parse_code(code)
+    stand = pipeline.stand_ins(ruleset)
+    targets = stand + "".join(sorted(ruleset.free.difference(stand)))
+    roots = [shape.format(c) for c in "dTðþk"]
+    assert len({pipeline.stand_in_root(root, stand) for root in roots}) == 1
+    entries = [LexiconEntry("", root, code) for root in roots]
+    entries += [e for e in _drawn_entries([code], "b", "bkq", 7) if len(e.root) != 3]
+    built = []
+    for order in (entries, entries[::-1]):
+        keys, paradigms = pipeline._stand_in_paradigms(order, ruleset, stand, targets)
+        failed = [(key.root, entry.root) for key, entry in zip(keys, order) if isinstance(key, errors.EntryFailed)]
+        assert len(failed) == 3 and all(own == root for own, root in failed)
+        assert len(paradigms) == 1
+        built.append(paradigms)
+    assert built[0] == built[1]
+    positions, _distinct_positions, surfaces, _hits = built[0].popitem()[1]
+    assert len(positions) == 109
+    assert not set("".join(surfaces)) & set("".join(roots))
 
 
 def test_viii_assimilation_lists_only_letters_it_changes():
