@@ -26,19 +26,26 @@ def _positive_int(text):
     return int(text)
 
 
-def _generate(path, ruleset=None, workers=1, strict=False):
-    """(forms, stats) of the lemma lexicon at ``path``, each rejected line
-    and failed entry printed to stderr; NoEntries if no entry generated."""
+def _load(path):
+    """The entries of the lemma lexicon at ``path``, each rejected line
+    printed to stderr."""
     try:
         report = load_lexicon(path)
     except NoEntries as exc:
         _print_diagnostics(path, exc.diagnostics)
         raise
     _print_diagnostics(path, report.diagnostics)
-    forms, stats = pipeline.generate_all(report.entries, ruleset, workers, strict)
+    return report.entries
+
+
+def _generate(path, entries, ruleset=None, workers=1, strict=False):
+    """(forms, stats) of ``entries``, of the lemma lexicon at ``path``, each
+    failed entry printed to stderr; NoEntries if none of them generated.
+    No entries is no error: a query that reaches none answers as a miss."""
+    forms, stats = pipeline.generate_all(entries, ruleset, workers, strict)
     for failure in stats.failures:
         print(failure, file=sys.stderr)
-    if not stats.lemma_count:
+    if entries and not stats.lemma_count:
         raise NoEntries("no entry of %s generated" % path)
     return forms, stats
 
@@ -50,7 +57,7 @@ def _print_diagnostics(path, diagnostics):
 
 def cmd_generate(args):
     ruleset = rules.load_rules(args.rules) if args.rules else None
-    forms, stats = _generate(args.lexicon, ruleset, args.workers, args.strict)
+    forms, stats = _generate(args.lexicon, _load(args.lexicon), ruleset, args.workers, args.strict)
     pipeline.write_lexicon(forms, args.out)
     if args.stats:
         pipeline.write_stats(stats, args.stats)
@@ -58,8 +65,17 @@ def cmd_generate(args):
     return 0
 
 
+def _index(path, entries):
+    """The FormIndex of ``entries``: those of the lemma lexicon at ``path``
+    that a query command's query, read as analyzer reads it (_to_query),
+    can reach.  It answers that query as the index of every entry would."""
+    return analyzer.FormIndex(_generate(path, entries)[0])
+
+
 def cmd_inflect(args):
-    index = analyzer.FormIndex(_generate(args.lexicon)[0])
+    entries = _load(args.lexicon)
+    lemma = analyzer._to_query(args.lemma)
+    index = _index(args.lexicon, [e for e in entries if e.lemma == lemma])
     tables = analyzer.inflect_verb(index, args.lemma)
     for code, rows in tables.items():
         print("# code %s" % code)
@@ -72,7 +88,9 @@ def cmd_inflect(args):
 
 
 def cmd_derive(args):
-    index = analyzer.FormIndex(_generate(args.lexicon)[0])
+    entries = _load(args.lexicon)
+    root = analyzer._to_query(args.root)
+    index = _index(args.lexicon, [e for e in entries if e.root == root])
     pairs = analyzer.derive_root(index, args.root)
     for lemma, label in pairs:
         print("%s\t%s\t%s" % (lemma, to_script(lemma), label))
@@ -80,7 +98,14 @@ def cmd_derive(args):
 
 
 def cmd_analyze(args):
-    index = analyzer.FormIndex(_generate(args.lexicon)[0])
+    # No affix, codebook op or rule writes a free consonant (the stand-ins
+    # of the paradigm cache); a rule can only copy one.  So each free
+    # consonant of a surface, and of the query that matches it, is a
+    # radical of its entry's root.
+    entries = _load(args.lexicon)
+    free = pipeline.stand_ins(rules.default_rules())
+    letters = set(analyzer._to_query(args.form)).intersection(free)
+    index = _index(args.lexicon, [e for e in entries if letters.issubset(e.root)])
     hits = analyzer.analyze(index, args.form)
     for a in hits[: args.max]:
         print("%s\t%s\t%s\t%s\t%s\t%s\t%s" % (
@@ -98,7 +123,7 @@ def cmd_evaluate(args):
 
 
 def cmd_stats(args):
-    _forms, stats = _generate(args.lexicon)
+    _forms, stats = _generate(args.lexicon, _load(args.lexicon))
     for key, value in stats.as_rows():
         print("%s\t%s" % (key, value))
     return 0

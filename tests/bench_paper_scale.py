@@ -15,6 +15,13 @@ peak RSS (``VmHWM``) of the run up to its end:
   FormIndex      the same, then build the index
   queries        in the FormIndex child, once the index has taken its
                  figures: time ``analyze`` over a seeded query set
+  cli_analyze    a cold ``arabverb analyze`` of each of CLI_FORMS seeded
+                 surfaces (seed string ``paper/0/cli``) on the lemma TSV,
+                 each in its own child process: the median wall time and
+                 peak RSS (the child's ``ru_maxrss``)
+  cli_analyze_no_free  the same for one more surface, of a seeded entry
+                 whose root has no free consonant (``pipeline.stand_ins``),
+                 so that the query reaches every entry of the lexicon
 
 The query set holds QUERIES_PER_KIND queries of each of the six analysis
 kinds of the lookup workload (exact, partial and bare diacritics, in the
@@ -30,12 +37,12 @@ paradigm cache (``stand_in_keys``, counted after generate_all is timed),
 the forms it passes to ``RuleSet.apply_many`` (``cascaded_forms``,
 counted in a second run after its peak RSS is taken), the count, p50 and
 p99 (nearest rank) of the query latencies per kind
-and pooled, the interpreter, ``nproc`` and the commit.
-``--src`` measures another checkout's ``src``.  It exits 1 unless there
-are 1,684,268 forms, no failure and every query answered.  It takes
-about 20 s on a 2-core host and peaks near 0.5 GB (the FormIndex child),
-so pytest does not collect it (the file name does not start with
-``test_``).
+and pooled, each cold CLI query with its figures, the interpreter,
+``nproc`` and the commit.  ``--src`` measures another checkout's ``src``.
+It exits 1 unless there are 1,684,268 forms, no failure and every query
+answered, the cold CLI queries included.  It takes about 25 s on a 2-core
+host and peaks near 0.5 GB (the FormIndex child), so pytest does not
+collect it (the file name does not start with ``test_``).
 """
 
 import argparse
@@ -44,6 +51,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -64,6 +72,8 @@ KINDS = ("exact", "partial", "bare", "script", "script-partial", "script-bare")
 QUERIES_PER_KIND = 5000
 # One child each; the queries layer runs in the FormIndex child.
 LAYERS = ("generate_all", "write_lexicon", "read_lexicon", "FormIndex")
+CLI_SEED = "paper/0/cli"
+CLI_FORMS = 4
 
 
 def paper_rows():
@@ -225,6 +235,49 @@ def time_queries(analyze, index, queries):
             for kind, ns in latency.items()}, missed
 
 
+def cli_queries(src, lemmas):
+    """CLI_FORMS surfaces, each of a seeded cell of a seeded entry, then one
+    of an entry whose root has no free consonant: each is (surface, lemma,
+    root, tag, paradigm, voice), the analysis its answer must hold."""
+    sys.path.insert(0, src)
+    import arabverb
+    from arabverb import pipeline
+
+    entries = arabverb.load_lexicon(lemmas).entries
+    free = set(pipeline.stand_ins(arabverb.default_rules()))
+    rng = random.Random(CLI_SEED)
+    drawn = rng.sample(entries, CLI_FORMS) + [rng.choice([e for e in entries if not free & set(e.root)])]
+    forms, _stats = arabverb.generate_all(drawn)
+    queries = []
+    for record in forms.paradigms:
+        i = rng.randrange(len(arabverb.CELLS))
+        cell = arabverb.CELLS[i]
+        queries.append([record.surfaces[i], record.lemma, record.root, cell.tag, cell.paradigm, cell.voice])
+    return queries
+
+
+def cold_cli(src, lemmas, query):
+    """One cold ``arabverb analyze`` of the query's surface in a child
+    process: its wall time, its peak RSS, and whether its answer holds
+    the query's analysis."""
+    surface, lemma, root, tag, paradigm, voice = query
+    argv = [sys.executable, "-m", "arabverb.cli", "analyze", "--form", surface, "--lexicon", lemmas]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
+    with proc.stdout:
+        out = proc.stdout.read().decode("utf-8")
+    # wait4 gives this child's own rusage, not the maximum over all children.
+    _pid, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    rows = [line.split("\t") for line in out.splitlines()]
+    answered = proc.returncode == 0 and any(
+        row[:3] == [surface, lemma, root] and row[4:] == [tag, paradigm, voice] for row in rows)
+    return dict(form=surface, wall_s=round(wall, 3), peak_rss_mb=round(usage.ru_maxrss / 1024, 1),
+                analyses=len(rows), answered=answered)
+
+
 def child(layer, src, lemmas, tsv):
     argv = [sys.executable, os.path.abspath(__file__), "--layer", layer, "--src", src,
             "--lemmas", lemmas, "--tsv", tsv]
@@ -254,11 +307,14 @@ def main():
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="the src directory to measure")
     ap.add_argument("--out", default=ROOT, help="directory of the JSON output")
     ap.add_argument("--commit", help="the commit to record (default: git rev-parse HEAD of --src)")
-    ap.add_argument("--layer", choices=LAYERS, help=argparse.SUPPRESS)
+    ap.add_argument("--layer", choices=LAYERS + ("cli_queries",), help=argparse.SUPPRESS)
     ap.add_argument("--lemmas", help=argparse.SUPPRESS)
     ap.add_argument("--tsv", help=argparse.SUPPRESS)
     args = ap.parse_args()
     src = os.path.abspath(args.src)
+    if args.layer == "cli_queries":
+        print(json.dumps(cli_queries(src, args.lemmas)))
+        return 0
     if args.layer:
         print(json.dumps(run_layer(args.layer, src, args.lemmas, args.tsv)))
         return 0
@@ -273,6 +329,11 @@ def main():
             layers[layer] = child(layer, src, lemmas, tsv)
             print(layer, json.dumps(layers[layer]), flush=True)
         layers["queries"] = layers["FormIndex"].pop("queries")
+        cli = [cold_cli(src, lemmas, query) for query in child("cli_queries", src, lemmas, tsv)]
+        print("cli_analyze", json.dumps(cli), flush=True)
+        layers["cli_analyze"] = {key: statistics.median(run[key] for run in cli[:CLI_FORMS])
+                                 for key in ("wall_s", "peak_rss_mb")}
+        layers["cli_analyze_no_free"] = cli[CLI_FORMS]
         result = {
             "label": args.label,
             "commit": args.commit or commit_of(src),
@@ -292,15 +353,18 @@ def main():
                        for layer, r in layers.items()},
             "queries": layers["queries"]["latency"],
             "queries_missed": layers["queries"]["missed"],
+            "cli_queries": cli,
+            "cli_missed": sum(1 for run in cli if not run["answered"]),
         }
     path = os.path.join(args.out, "BENCH_paper_%s.json" % args.label)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    ok = result["forms"] == result["read_forms"] == FORMS and result["failures"] == result["queries_missed"] == 0
-    print("%s: %d forms, %d failures, %d queries missed, TSV %s -> %s" % (
+    ok = (result["forms"] == result["read_forms"] == FORMS
+          and result["failures"] == result["queries_missed"] == result["cli_missed"] == 0)
+    print("%s: %d forms, %d failures, %d queries and %d cold CLI queries missed, TSV %s -> %s" % (
         "ok" if ok else "FAILED", result["forms"], result["failures"], result["queries_missed"],
-        result["tsv_sha256"][:12], path))
+        result["cli_missed"], result["tsv_sha256"][:12], path))
     return 0 if ok else 1
 
 

@@ -1,9 +1,19 @@
 import os
+import random
+import sys
 
 import pytest
 
+from arabverb import cli, pipeline
+from arabverb.analyzer import FormIndex
 from arabverb.cli import main
-from conftest import DATA, GOLD_LEXICON, SAMPLE_LEXICON
+from arabverb.lexicon import load_lexicon
+from arabverb.translit import to_script
+from conftest import DATA, GOLD_LEXICON, HERE, SAMPLE_LEXICON
+from test_analyzer import queries_of
+
+sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
+import workloads  # noqa: E402
 
 # A good entry, then QI (a 4-radical pattern) on a 3-radical root.
 QI_ON_THREE_RADICALS = (
@@ -211,6 +221,131 @@ def test_lexicon_with_nothing_to_generate_is_domain_error(tmp_path, capsys, comm
     assert err[1].startswith("error: ") and "lex.tsv" in err[1]
     assert "Traceback" not in captured.err and not captured.out
     assert not (tmp_path / "out.tsv").exists()
+
+
+# A good entry, and one that fails and shares no lemma, root or free
+# consonant with it.  Each query command expands only the entries that its
+# query can reach, and reports the failures of those alone.
+UNRELATED_FAILURE = QI_ON_THREE_RADICALS.splitlines(True)[0] + "دَرَسَ\tdrs\t00H0000\tQI on three radicals\n"
+QUERIES_OF_THE_FAILED_ENTRY = {
+    "analyze": ["analyze", "--form", "درس"],
+    "inflect": ["inflect", "--lemma", "دَرَسَ"],
+    "derive": ["derive", "--root", "drs"],
+}
+QUERIES_OF_NO_ENTRY = {
+    "analyze": ["analyze", "--form", "زحلق"],
+    "inflect": ["inflect", "--lemma", "زَحْلَقَ"],
+    "derive": ["derive", "--root", "zHlq"],
+}
+
+
+@pytest.mark.parametrize("command", GENERATING_COMMANDS)
+def test_a_query_command_reports_only_the_entries_it_expands(tmp_path, capsys, command):
+    assert _run(command, tmp_path, UNRELATED_FAILURE) == 0
+    captured = capsys.readouterr()
+    assert captured.out
+    if command in ("generate", "stats"):
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "entry darasa failed at OpOutOfRange" in err[0]
+    else:
+        assert captured.err == ""
+
+
+# It expanded the failed entry alone: its failure, then the error.
+@pytest.mark.parametrize("command", QUERIES_OF_THE_FAILED_ENTRY)
+def test_a_query_whose_entries_all_fail_is_domain_error(tmp_path, capsys, command):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text(UNRELATED_FAILURE, encoding="utf-8")
+    assert main(QUERIES_OF_THE_FAILED_ENTRY[command] + ["--lexicon", lexicon.as_posix()]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 2 and "entry darasa failed at OpOutOfRange" in err[0]
+    assert err[1] == "error: no entry of %s generated" % lexicon.as_posix()
+    assert not captured.out
+
+
+# A query that reaches no entry expands none, so no entry's failure is
+# printed, and it answers as a miss: analyze and derive print nothing, and
+# inflect does not find the lemma.  Also when every entry of the lexicon fails.
+@pytest.mark.parametrize("text", [UNRELATED_FAILURE, QI_ON_THREE_RADICALS.splitlines(True)[1]],
+                         ids=["one-entry-fails", "every-entry-fails"])
+@pytest.mark.parametrize("command", QUERIES_OF_NO_ENTRY)
+def test_a_query_that_reaches_no_entry_answers_as_a_miss(tmp_path, capsys, command, text):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text(text, encoding="utf-8")
+    rc = main(QUERIES_OF_NO_ENTRY[command] + ["--lexicon", lexicon.as_posix()])
+    captured = capsys.readouterr()
+    assert not captured.out
+    if command == "inflect":
+        assert rc == 1 and captured.err == "error: lemma زَحْلَقَ is not in the lexicon\n"
+    else:
+        assert rc == 0 and captured.err == ""
+
+
+@pytest.fixture(scope="module")
+def lexicons(tmp_path_factory):
+    """The path, forms and index of the whole of the sample, the gold and
+    the mixed-class (perfbench, input seed 1) lemma lexicons."""
+    mixed = tmp_path_factory.mktemp("mixed-class") / "lemmas.tsv"
+    mixed.write_text(workloads.lemma_tsv(workloads.mixed_class(1)), encoding="utf-8")
+    out = {}
+    for name, path in (("sample", SAMPLE_LEXICON), ("gold", GOLD_LEXICON), ("mixed-class", mixed.as_posix())):
+        forms, stats = pipeline.generate_all(load_lexicon(path).entries)
+        assert not stats.failures
+        out[name] = path, forms, FormIndex(forms)
+    return out
+
+
+def _answers(monkeypatch, capsys, argv, whole):
+    """The (exit code, stdout, stderr) of ``argv`` as it runs, then with its
+    index replaced by ``whole``, the index of every entry, as the command
+    was before it selected entries; and how many entries it selected."""
+    expanded = []
+
+    def recorded(path, entries):
+        expanded.append(len(entries))
+        return index(path, entries)
+
+    answers = []
+    for index in (cli._index, lambda _path, _entries: whole):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_index", recorded)
+            rc = main(argv)
+        answers.append((rc,) + tuple(capsys.readouterr()))
+    return answers, expanded[0]
+
+
+# Every analysis kind of each of 8 seeded surfaces (exact, partial, bare,
+# in both alphabets, and a miss), and a skeleton with no free consonant,
+# which reaches every entry: answers equal, order included.
+@pytest.mark.parametrize("which", ["sample", "gold", "mixed-class"])
+def test_analyze_answers_as_over_the_whole_lexicon(monkeypatch, capsys, lexicons, which):
+    path, forms, whole = lexicons[which]
+    surfaces = sorted({s for p in forms.paradigms for s in p.surfaces})
+    queries = queries_of(random.Random(which).sample(surfaces, 8), seed=len(surfaces))
+    expanded, hits = [], 0
+    for query in queries + ["ytmn"]:
+        argv = ["analyze", "--form", query, "--lexicon", path]
+        (filtered, unfiltered), n = _answers(monkeypatch, capsys, argv, whole)
+        assert filtered == unfiltered, query
+        assert filtered[0] == 0 and not filtered[2]
+        expanded.append(n)
+        hits += bool(filtered[1])
+    assert expanded.pop() == len(forms.paradigms) > sorted(expanded)[len(expanded) // 2]
+    assert 0 < len(queries) - hits < len(queries) / 4
+
+
+@pytest.mark.parametrize("which", ["sample", "gold", "mixed-class"])
+def test_inflect_and_derive_answer_as_over_the_whole_lexicon(monkeypatch, capsys, lexicons, which):
+    path, forms, whole = lexicons[which]
+    argvs = [["inflect", "--lemma", "zaHlaqa"], ["derive", "--root", "zHlq"]]
+    for p in random.Random(which).sample(forms.paradigms, 12):
+        argvs += [["inflect", "--lemma", p.lemma], ["inflect", "--lemma", to_script(p.lemma), "--voice", "pas"],
+                  ["derive", "--root", p.root]]
+    for argv in argvs:
+        (filtered, unfiltered), _n = _answers(monkeypatch, capsys, argv + ["--lexicon", path], whole)
+        assert filtered == unfiltered, argv
+        assert bool(filtered[1]) == (argv[2] not in ("zaHlaqa", "zHlq"))
 
 
 def test_derive_root(capsys):

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 
 import pytest
 import reference_generation as reference
@@ -20,6 +21,7 @@ from arabverb.inflect import CELLS, IMPF_PREFIX, IMPV_SUFFIX, MOOD_SUFFIX, PERF_
 from arabverb.lexicon import CODEBOOK, QUADRILITERAL, LexiconEntry, parse_code, resolve_class
 from arabverb.stems import VIII_ASSIMILATION, build_stems
 from arabverb.translit import to_script
+from test_rules import CUSTOM_RULES
 
 
 def test_exact_count_law(sample_forms, sample_entries):
@@ -927,3 +929,27 @@ def test_cache_parallel_equals_serial(drawn_entries):
     assert parallel_stats.rule_hits == serial_stats.rule_hits
     assert parallel_stats.pattern_histogram == serial_stats.pattern_histogram
     assert [str(f) for f in parallel_stats.failures] == [str(f) for f in serial_stats.failures]
+
+
+# The analyze command expands only the entries whose root holds every free
+# consonant of the query (cli.cmd_analyze).  That is exact because no affix,
+# codebook op or rule writes a free consonant; a rule can only copy one.  The
+# custom set puts the phonological rules of test_rules.CUSTOM_RULES, which
+# copy consonants by back-reference, in front of the bundled cascade.
+@pytest.mark.parametrize("custom", [False, True], ids=["bundled-rules", "custom-rules"])
+def test_every_free_consonant_of_a_surface_is_a_radical(custom, ruleset, sample_entries, gold_entries,
+                                                       drawn_entries):
+    rs = ruleset
+    if custom:
+        rs = rules.RuleSet(tuple(r for r in CUSTOM_RULES if r.stage == "phono") + ruleset.rules)
+    free = set(pipeline.stand_ins(rs))
+    generated, hits = 0, Counter()
+    for entries in (sample_entries, gold_entries, drawn_entries):
+        forms, stats = pipeline.generate_all(entries, rs)
+        for p in forms.paradigms:
+            assert free.intersection("".join(p.surfaces)) <= set(p.root), (p.root, p.code)
+        generated += len(forms.paradigms)
+        hits.update(stats.rule_hits)
+    assert generated == len(sample_entries) + len(gold_entries) + len(drawn_entries) - 3 * 24
+    if custom:
+        assert hits["d2"] and hits["d3"]
