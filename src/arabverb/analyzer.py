@@ -9,6 +9,7 @@ from collections import namedtuple
 from itertools import repeat
 from operator import itemgetter
 
+from . import pipeline, rules
 from .alphabet import ALPHABET, SHADDA, SUKUN, VOWELS
 from .errors import LemmaNotFound
 from .inflect import CELLS
@@ -79,12 +80,9 @@ class FormIndex:
         self.by_lemma = by_lemma = {}
         self.by_root = by_root = {}
         size = 0
-        labels = {}  # a label depends only on the code
         indexed = {}  # (lemma, root, code) -> the surfaces of its records indexed so far
         for lemma, root, code, surfaces in forms.paradigms:
-            label = labels.get(code)
-            if label is None:
-                label = labels[code] = resolve_class(code).label
+            label = resolve_class(code).label
             by_root.setdefault(root, {})[(lemma, code)] = label
             earlier = indexed.setdefault((lemma, root, code), [])
             if not earlier:
@@ -120,6 +118,24 @@ def _to_query(text):
     if text and ALPHABET.issuperset(text):
         return text
     return to_internal(text)
+
+
+def entries_answering(entries, field, text):
+    """The entries whose key equals that of the query ``text`` (either
+    alphabet): a "lemma" of inflect_verb, a "root" of derive_root or a
+    "form" of analyze, as ``field`` names it.  A lemma or a root is its own
+    key; that of a form, and of an entry's root, is its set of free
+    consonants (``pipeline.stand_ins`` of the bundled rules).  An index of
+    the entries kept answers as one of every entry: inflect_verb and
+    derive_root look up by lemma and by root, and an answer to a form has
+    its consonants, whose free ones are the free radicals of its root: no
+    affix, codebook op or rule writes a free consonant, and no rule deletes
+    the last copy of one (tests/test_pipeline.py pins both)."""
+    key = str  # a lemma or a root is its own key
+    if field == "form":
+        key, field = frozenset(pipeline.stand_ins(rules.default_rules())).intersection, "root"
+    wanted = key(_to_query(text))
+    return [e for e in entries if key(getattr(e, field)) == wanted]
 
 
 def analyze(index, form):

@@ -66,17 +66,13 @@ def cmd_generate(args):
 
 
 def _index(path, entries):
-    """The FormIndex of ``entries``: those of the lemma lexicon at ``path``
-    that a query command's query, read as analyzer reads it (_to_query),
-    can reach.  It answers that query as the index of every entry would."""
+    """The FormIndex of ``entries``, of the lemma lexicon at ``path``."""
     return analyzer.FormIndex(_generate(path, entries)[0])
 
 
 def cmd_inflect(args):
-    entries = _load(args.lexicon)
-    lemma = analyzer._to_query(args.lemma)
-    index = _index(args.lexicon, [e for e in entries if e.lemma == lemma])
-    tables = analyzer.inflect_verb(index, args.lemma)
+    entries = analyzer.entries_answering(_load(args.lexicon), "lemma", args.lemma)
+    tables = analyzer.inflect_verb(_index(args.lexicon, entries), args.lemma)
     for code, rows in tables.items():
         print("# code %s" % code)
         for cell, surface in rows:
@@ -88,25 +84,16 @@ def cmd_inflect(args):
 
 
 def cmd_derive(args):
-    entries = _load(args.lexicon)
-    root = analyzer._to_query(args.root)
-    index = _index(args.lexicon, [e for e in entries if e.root == root])
-    pairs = analyzer.derive_root(index, args.root)
+    entries = analyzer.entries_answering(_load(args.lexicon), "root", args.root)
+    pairs = analyzer.derive_root(_index(args.lexicon, entries), args.root)
     for lemma, label in pairs:
         print("%s\t%s\t%s" % (lemma, to_script(lemma), label))
     return 0
 
 
 def cmd_analyze(args):
-    # No affix, codebook op or rule writes a free consonant (the stand-ins
-    # of the paradigm cache); a rule can only copy one.  So each free
-    # consonant of a surface, and of the query that matches it, is a
-    # radical of its entry's root.
-    entries = _load(args.lexicon)
-    free = pipeline.stand_ins(rules.default_rules())
-    letters = set(analyzer._to_query(args.form)).intersection(free)
-    index = _index(args.lexicon, [e for e in entries if letters.issubset(e.root)])
-    hits = analyzer.analyze(index, args.form)
+    entries = analyzer.entries_answering(_load(args.lexicon), "form", args.form)
+    hits = analyzer.analyze(_index(args.lexicon, entries), args.form)
     for a in hits[: args.max]:
         print("%s\t%s\t%s\t%s\t%s\t%s\t%s" % (
             a.surface, a.lemma, a.root, a.label, a.tag, a.paradigm, a.voice))

@@ -7,6 +7,7 @@ vowels (0 keeps the class default).  Six-character legacy codes are
 accepted and right-padded with a default vowel digit.
 """
 
+import functools
 from collections import namedtuple
 
 from .alphabet import CONSONANTS
@@ -109,9 +110,10 @@ def parse_code(text):
     return text
 
 
+@functools.cache
 def resolve_class(code):
     """Resolve a code against the codebook into a DerivClass; the code is
-    checked and padded by parse_code first."""
+    checked and padded by parse_code first.  Cached; a code that raises is not."""
     d1, d2, template, d4, v5, v6, v7 = parse_code(code)
     label = _LABELS.get((d1, d2, d4, template))
     if label is None:

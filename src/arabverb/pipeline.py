@@ -301,9 +301,7 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
         paradigms.append(paradigm)
         for rule_id, n in hits.items():
             stats.rule_hits[rule_id] = stats.rule_hits.get(rule_id, 0) + n
-    for code, n in Counter(p.code for p in paradigms).items():  # a label depends only on the code
-        label = resolve_class(code).label
-        stats.pattern_histogram[label] = stats.pattern_histogram.get(label, 0) + n
+    stats.pattern_histogram = dict(Counter(resolve_class(p.code).label for p in paradigms))
     stats.lemma_count, stats.form_count = len(paradigms), FORMS_PER_LEMMA * len(paradigms)
     return Forms(paradigms), stats
 
@@ -369,7 +367,7 @@ def read_lexicon(path):
     row, naming its line.  In a run of rows of one (lemma, code), a row of
     cell 0 opens a paradigm, and a row of cell i joins the first open one of
     its root that holds cells 0..i-1, so interleaved paradigms read back.
-    The class of each distinct code is resolved once.  The file streams row
+    The code of each run of rows must resolve.  The file streams row
     by row; a row splits once, into five columns and its cell's tail in
     ``_CELL_INDEX``.  Only a line that misses it (the header, a comment, a
     blank line, a last row with no line end, a malformed row) is split in
@@ -378,7 +376,6 @@ def read_lexicon(path):
     paradigms = []  # [lemma, root, code, surfaces, last line] of each, as opened
     run_lemma = run_code = None  # the (lemma, code) of the current run of rows
     opened = {}  # root -> the paradigms of the current run
-    resolved = set()  # the codes whose class resolves
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -399,12 +396,10 @@ def read_lexicon(path):
                     i = _CELL_INDEX[fields[5]]
                 _script, surface, lemma, root, code, _tail = fields
                 if lemma != run_lemma or code != run_code:
-                    if code not in resolved:
-                        try:
-                            resolve_class(code)
-                        except ArabverbError as exc:
-                            raise ArabverbError("line %d: %s" % (lineno, exc))
-                        resolved.add(code)
+                    try:
+                        resolve_class(code)
+                    except ArabverbError as exc:
+                        raise ArabverbError("line %d: %s" % (lineno, exc))
                     run_lemma, run_code, opened = lemma, code, {}
                 if i == 0:
                     p = [lemma, root, code, [], lineno]

@@ -21,7 +21,11 @@ peak RSS (``VmHWM``) of the run up to its end:
                  peak RSS (the child's ``ru_maxrss``)
   cli_analyze_no_free  the same for one more surface, of a seeded entry
                  whose root has no free consonant (``pipeline.stand_ins``),
-                 so that the query reaches every entry of the lexicon
+                 so that the query reaches every entry whose root has none
+                 (``analyzer.entries_answering``)
+  cli_inflect    a cold ``arabverb inflect`` of the lemma of a seeded entry,
+                 in Arabic script
+  cli_derive     a cold ``arabverb derive`` of the root of a seeded entry
 
 The query set holds QUERIES_PER_KIND queries of each of the six analysis
 kinds of the lookup workload (exact, partial and bare diacritics, in the
@@ -40,9 +44,12 @@ p99 (nearest rank) of the query latencies per kind
 and pooled, each cold CLI query with its figures, the interpreter,
 ``nproc`` and the commit.  ``--src`` measures another checkout's ``src``.
 It exits 1 unless there are 1,684,268 forms, no failure and every query
-answered, the cold CLI queries included.  It takes about 25 s on a 2-core
-host and peaks near 0.5 GB (the FormIndex child), so pytest does not
-collect it (the file name does not start with ``test_``).
+answered, the cold CLI queries included: the output of each of those must
+hold every row of the entry it was drawn from (the analysis of the
+surface, the 109 rows of the lemma's table, or the lemma and label).  It
+takes about 25 s on a 2-core host and peaks near 0.5 GB (the FormIndex
+child), so pytest does not collect it (the file name does not start with
+``test_``).
 """
 
 import argparse
@@ -236,9 +243,10 @@ def time_queries(analyze, index, queries):
 
 
 def cli_queries(src, lemmas):
-    """CLI_FORMS surfaces, each of a seeded cell of a seeded entry, then one
-    of an entry whose root has no free consonant: each is (surface, lemma,
-    root, tag, paradigm, voice), the analysis its answer must hold."""
+    """The cold CLI queries: CLI_FORMS surfaces, each of a seeded cell of a
+    seeded entry, then one of an entry whose root has no free consonant,
+    then the lemma and the root of a seeded entry each.  Each is the
+    command's arguments and the output rows its answer must hold."""
     sys.path.insert(0, src)
     import arabverb
     from arabverb import pipeline
@@ -247,21 +255,30 @@ def cli_queries(src, lemmas):
     free = set(pipeline.stand_ins(arabverb.default_rules()))
     rng = random.Random(CLI_SEED)
     drawn = rng.sample(entries, CLI_FORMS) + [rng.choice([e for e in entries if not free & set(e.root)])]
-    forms, _stats = arabverb.generate_all(drawn)
+    drawn += [rng.choice(entries), rng.choice(entries)]
+    records = arabverb.generate_all(drawn)[0].paradigms
     queries = []
-    for record in forms.paradigms:
+    for record in records[:-2]:
         i = rng.randrange(len(arabverb.CELLS))
         cell = arabverb.CELLS[i]
-        queries.append([record.surfaces[i], record.lemma, record.root, cell.tag, cell.paradigm, cell.voice])
+        label = arabverb.resolve_class(record.code).label
+        queries.append([["analyze", "--form", record.surfaces[i]],
+                        [[record.surfaces[i], record.lemma, record.root, label, cell.tag, cell.paradigm, cell.voice]]])
+    lemma, root = records[-2], records[-1]
+    queries.append([["inflect", "--lemma", arabverb.to_script(lemma.lemma)],
+                    [[cell.tag, cell.paradigm, cell.voice, surface, arabverb.to_script(surface)]
+                     for cell, surface in zip(arabverb.CELLS, lemma.surfaces)]])
+    queries.append([["derive", "--root", root.root],
+                    [[root.lemma, arabverb.to_script(root.lemma), arabverb.resolve_class(root.code).label]]])
     return queries
 
 
-def cold_cli(src, lemmas, query):
-    """One cold ``arabverb analyze`` of the query's surface in a child
-    process: its wall time, its peak RSS, and whether its answer holds
-    the query's analysis."""
-    surface, lemma, root, tag, paradigm, voice = query
-    argv = [sys.executable, "-m", "arabverb.cli", "analyze", "--form", surface, "--lexicon", lemmas]
+def cold_cli(src, lemmas, command, expected):
+    """One cold ``arabverb`` run of ``command``, a command and its query, on
+    the lemma TSV in a child process: its wall time, its peak RSS, its
+    count of output rows (a ``# code`` line of inflect is no row), and
+    whether they hold every row of ``expected``."""
+    argv = [sys.executable, "-m", "arabverb.cli"] + command + ["--lexicon", lemmas]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
@@ -271,11 +288,10 @@ def cold_cli(src, lemmas, query):
     _pid, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    rows = [line.split("\t") for line in out.splitlines()]
-    answered = proc.returncode == 0 and any(
-        row[:3] == [surface, lemma, root] and row[4:] == [tag, paradigm, voice] for row in rows)
-    return dict(form=surface, wall_s=round(wall, 3), peak_rss_mb=round(usage.ru_maxrss / 1024, 1),
-                analyses=len(rows), answered=answered)
+    rows = [tuple(line.split("\t")) for line in out.splitlines() if not line.startswith("# code ")]
+    answered = proc.returncode == 0 and set(map(tuple, expected)) <= set(rows)
+    return dict(command=command[0], query=command[2], wall_s=round(wall, 3),
+                peak_rss_mb=round(usage.ru_maxrss / 1024, 1), rows=len(rows), answered=answered)
 
 
 def child(layer, src, lemmas, tsv):
@@ -329,11 +345,12 @@ def main():
             layers[layer] = child(layer, src, lemmas, tsv)
             print(layer, json.dumps(layers[layer]), flush=True)
         layers["queries"] = layers["FormIndex"].pop("queries")
-        cli = [cold_cli(src, lemmas, query) for query in child("cli_queries", src, lemmas, tsv)]
-        print("cli_analyze", json.dumps(cli), flush=True)
-        layers["cli_analyze"] = {key: statistics.median(run[key] for run in cli[:CLI_FORMS])
-                                 for key in ("wall_s", "peak_rss_mb")}
-        layers["cli_analyze_no_free"] = cli[CLI_FORMS]
+        cli = [cold_cli(src, lemmas, command, expected)
+               for command, expected in child("cli_queries", src, lemmas, tsv)]
+        print("cli", json.dumps(cli), flush=True)
+        layers["cli_analyze"] = {key: round(statistics.median(run[key] for run in cli[:CLI_FORMS]), digits)
+                                 for key, digits in (("wall_s", 3), ("peak_rss_mb", 1))}
+        layers["cli_analyze_no_free"], layers["cli_inflect"], layers["cli_derive"] = cli[CLI_FORMS:]
         result = {
             "label": args.label,
             "commit": args.commit or commit_of(src),

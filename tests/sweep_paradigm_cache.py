@@ -13,8 +13,13 @@ ones (so that keys hold roots that swap the two, and roots over m and s,
 free for the cascade alone, share cascades across keys), and on a seeded
 sample of roots over all consonants for the quadriliteral codes.  Forms,
 rule hits, failure messages and the pattern histogram must be equal.  It
+also checks the two free-consonant invariants that make the analyze
+command's selection exact (``analyzer.entries_answering``) on every
+surface it generates: its free consonants (``pipeline.stand_ins``) are
+radicals of its root, and every free radical of its root is in it.  It
 prints the paradigm count, the count of chunks (of about 300 entries of
-one code) that mismatch and the wall time, and exits 1 on any mismatch.
+one code) that mismatch, the count of surfaces that break an invariant
+and the wall time, and exits 1 on any mismatch or violation.
 It takes several minutes, so pytest does not collect it (the file name
 does not start with ``test_``).
 """
@@ -61,12 +66,18 @@ def chunks(code, roots, free):
         yield chunk
 
 
-def compare(entries):
-    """1 if the forms, rule hits, failure messages or pattern histogram of
-    ``entries`` differ between the two paths, else 0."""
+def compare(entries, free):
+    """(1 if the forms, rule hits, failure messages or pattern histogram of
+    ``entries`` differ between the two paths, else 0; the count of their
+    surfaces whose free consonants, those of ``free``, are not the free
+    radicals of their root)."""
     forms, stats = pipeline.generate_all(entries)
     got = list(forms), stats.rule_hits, [str(f) for f in stats.failures], stats.pattern_histogram
-    return int(got != reference_generation.generate(entries))
+    violations = 0
+    for p in forms.paradigms:
+        radicals = free.intersection(p.root)
+        violations += sum(1 for surface in p.surfaces if free.intersection(surface) != radicals)
+    return int(got != reference_generation.generate(entries)), violations
 
 
 def main():
@@ -78,27 +89,31 @@ def main():
     ruleset = rules.default_rules()
     special = "".join(sorted(pipeline.special_consonants(ruleset)))
     free = pipeline.stand_ins(ruleset)
+    free_set = frozenset(free)
     letters = special + free[1] + free[-1]
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    paradigms = mismatches = 0
+    paradigms = mismatches = violations = 0
     for code in bundled_codes():
         if lexicon.resolve_class(code).label in lexicon.QUADRILITERAL:
             pool = sorted(CONSONANTS)
             roots = sorted({"".join(rng.choice(pool) for _ in range(4)) for _ in range(args.quad_roots)})
         else:
             roots = ["".join(r) for r in itertools.product(letters, repeat=3)]
-        code_bad = 0
+        code_bad = code_violations = 0
         for chunk in chunks(code, roots, free):
-            code_bad += compare(chunk)
+            bad, broken = compare(chunk, free_set)
+            code_bad += bad
+            code_violations += broken
         paradigms += len(roots)
         mismatches += code_bad
-        print("%s %-5s %6d roots %d mismatches" % (code, lexicon.resolve_class(code).label, len(roots), code_bad),
-              flush=True)
+        violations += code_violations
+        print("%s %-5s %6d roots %d mismatches %d violations"
+              % (code, lexicon.resolve_class(code).label, len(roots), code_bad, code_violations), flush=True)
     wall = time.perf_counter() - start
-    print("paradigms %d  mismatches %d  wall %.0f s  (special %s, free letters %s%s)"
-          % (paradigms, mismatches, wall, special, free[1], free[-1]))
-    return 1 if mismatches else 0
+    print("paradigms %d  mismatches %d  violations %d  wall %.0f s  (special %s, free letters %s%s)"
+          % (paradigms, mismatches, violations, wall, special, free[1], free[-1]))
+    return 1 if mismatches or violations else 0
 
 
 if __name__ == "__main__":

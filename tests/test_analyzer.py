@@ -3,16 +3,17 @@ import random
 
 import pytest
 
-from arabverb import analyzer, pipeline
+from arabverb import pipeline
 from arabverb.alphabet import ALPHABET
 from arabverb.analyzer import (DIACRITICS, Analysis, FormIndex, analyze, derive_root, inflect_verb,
                                matches_partial, skeleton)
 from arabverb.errors import LemmaNotFound, UnknownCharacter
 from arabverb.evaluate import forms_to_normalized
 from arabverb.inflect import CELLS
-from arabverb.lexicon import parse_code, resolve_class
+from arabverb.lexicon import load_lexicon, parse_code, resolve_class
 from arabverb.pipeline import Forms, Paradigm, read_lexicon, write_lexicon
 from arabverb.translit import SCRIPT, to_script
+from conftest import GOLD_LEXICON
 from test_pipeline import _duplicate_entries
 from test_translit import reference_to_internal
 
@@ -163,16 +164,18 @@ def test_labels_are_the_resolved_class_labels(sample_index):
             assert a.label == resolve_class(parse_code(a.code)).label
 
 
-def test_index_resolves_each_code_once(monkeypatch, sample_forms):
-    calls = []
-
-    def counting(code):
-        calls.append(str(code))
-        return resolve_class(code)
-
-    monkeypatch.setattr(analyzer, "resolve_class", counting)
-    FormIndex(sample_forms)
-    assert sorted(calls) == sorted({f.code for f in sample_forms})
+# Gold holds several entries of most of its codes, so a resolution per entry
+# or per record would show as more misses than codes.
+def test_load_generate_write_read_and_index_resolve_each_code_once(tmp_path):
+    resolve_class.cache_clear()
+    entries = load_lexicon(GOLD_LEXICON).entries
+    forms, _stats = pipeline.generate_all(entries)
+    path = (tmp_path / "inflected.tsv").as_posix()
+    write_lexicon(forms, path)
+    FormIndex(read_lexicon(path))
+    codes = {e.code for e in entries}
+    assert len(entries) == 66 and len(codes) == 24
+    assert resolve_class.cache_info().misses == len(codes)
 
 
 def test_read_and_index_build_no_inflected_form(tmp_path, monkeypatch, sample_forms, sample_index):

@@ -67,6 +67,20 @@ def test_unknown_class():
         resolve_class(parse_code("11H0000"))
 
 
+# resolve_class keeps the class of each code, but nothing of a code that
+# raises: it raises the same error again.
+@pytest.mark.parametrize("code, error", [("11H0000", UnknownClass), ("00X0000", BadCode)])
+def test_a_failing_code_raises_the_same_error_on_every_call(code, error):
+    kept = resolve_class.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            resolve_class(code)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert resolve_class.cache_info().currsize == kept
+
+
 def test_op_inventory_sizes():
     ops = {op for ops in CODEBOOK.values() for op in ops if op != ("ta",)}
     kinds = [op[0] for op in ops]

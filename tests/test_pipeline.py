@@ -931,11 +931,13 @@ def test_cache_parallel_equals_serial(drawn_entries):
     assert [str(f) for f in parallel_stats.failures] == [str(f) for f in serial_stats.failures]
 
 
-# The analyze command expands only the entries whose root holds every free
-# consonant of the query (cli.cmd_analyze).  That is exact because no affix,
-# codebook op or rule writes a free consonant; a rule can only copy one.  The
-# custom set puts the phonological rules of test_rules.CUSTOM_RULES, which
-# copy consonants by back-reference, in front of the bundled cascade.
+# The analyze command expands only the entries whose root has the free
+# consonants of the query as its free radicals (analyzer.entries_answering).
+# That is exact when the free consonants of each surface are the free
+# radicals of its root.  First, no affix, codebook op or rule writes a free
+# consonant; a rule can only copy one.  The custom set puts the
+# phonological rules of test_rules.CUSTOM_RULES, which copy consonants by
+# back-reference, in front of the bundled cascade.
 @pytest.mark.parametrize("custom", [False, True], ids=["bundled-rules", "custom-rules"])
 def test_every_free_consonant_of_a_surface_is_a_radical(custom, ruleset, sample_entries, gold_entries,
                                                        drawn_entries):
@@ -953,3 +955,37 @@ def test_every_free_consonant_of_a_surface_is_a_radical(custom, ruleset, sample_
     assert generated == len(sample_entries) + len(gold_entries) + len(drawn_entries) - 3 * 24
     if custom:
         assert hits["d2"] and hits["d3"]
+
+
+# Second, nothing deletes the last copy of a free radical: each is in every
+# surface of its root's paradigm.
+@pytest.mark.parametrize("custom", [False, True], ids=["bundled-rules", "custom-rules"])
+def test_every_free_radical_of_a_root_is_in_every_surface(custom, ruleset, sample_entries, gold_entries,
+                                                         drawn_entries):
+    rs = ruleset
+    if custom:
+        rs = rules.RuleSet(tuple(r for r in CUSTOM_RULES if r.stage == "phono") + ruleset.rules)
+    free = set(pipeline.stand_ins(rs))
+    generated = 0
+    for entries in (sample_entries, gold_entries, drawn_entries):
+        forms, _stats = pipeline.generate_all(entries, rs)
+        for p in forms.paradigms:
+            radicals = free.intersection(p.root)
+            for surface in p.surfaces:
+                assert radicals <= set(surface), (p.root, p.code, surface)
+        generated += len(forms.paradigms)
+    assert generated == len(sample_entries) + len(gold_entries) + len(drawn_entries) - 3 * 24
+
+
+# The same, rule by rule: a rule rewrites only what its pattern matches, so
+# it deletes a free consonant only where a capture of a class that holds one
+# is not written back.  A back-reference matches a second copy of its
+# capture, which one copy written back keeps.
+def test_every_rule_writes_back_each_capture_that_can_hold_a_free_consonant(ruleset):
+    free = set(pipeline.stand_ins(ruleset))
+    assert free
+    for rule in ruleset.rules:
+        captures = [ch for ch in rule.pattern if ch == "." or ch in rules._CLASS_SETS]
+        for n, ch in enumerate(captures, 1):
+            if ch == "." or free.intersection(rules._CLASS_SETS[ch]):
+                assert str(n) in rule.replacement, (rule.id, rule.pattern, rule.replacement, n)
