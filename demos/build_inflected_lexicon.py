@@ -2,6 +2,8 @@
 
 Writes a TSV of every generated form plus a machine-readable stats
 report (lemma counts, per-pattern histogram, per-rule firing counts).
+An entry of the gold lexicon whose (lemma, code) the sample already
+holds is skipped, so each paradigm is generated and written once.
 """
 
 import tempfile
@@ -10,10 +12,13 @@ from importlib import resources
 from arabverb.lexicon import load_lexicon
 from arabverb.pipeline import generate_all, write_lexicon, write_stats
 
-entries = []
+entries, taken = [], set()
 for name in ("sample_lexicon.tsv", "gold_lexicon.tsv"):
     path = resources.files("arabverb.data").joinpath(name)
-    entries.extend(load_lexicon(str(path)).entries)
+    for entry in load_lexicon(str(path)).entries:
+        if (entry.lemma, entry.code) not in taken:
+            taken.add((entry.lemma, entry.code))
+            entries.append(entry)
 
 forms, stats = generate_all(entries)
 out_dir = tempfile.mkdtemp(prefix="arabverb-")

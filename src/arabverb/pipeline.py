@@ -9,7 +9,7 @@ import os
 import stat
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from itertools import chain, groupby, repeat
+from itertools import repeat
 from operator import attrgetter
 
 from . import rules
@@ -314,26 +314,20 @@ _CELL_TAILS = tuple("\t%s\t%s\t%s\n" % (c.tag, c.paradigm, c.voice) for c in CEL
 
 
 def write_lexicon(forms, path):
-    """Write the inflected lexicon TSV of ``forms``, a Forms, sorted by
-    (lemma, code, cell): the paradigms sorted stably by (lemma, code), and
-    the paradigms of one (lemma, code) cell by cell, in input order within
-    a cell, as a stable sort of the forms would give.  Each group is
-    written as it is formatted, so that no string holds the whole file.
-    The script column is derived from the surfaces (translit.to_scripts).
-    If writing raises (a surface outside the alphabet raises
-    MalformedInternal), the partial file is removed (_remove_partial) and
-    the error re-raised."""
-    by_entry = attrgetter("lemma", "code")
+    """Write the inflected lexicon TSV of ``forms``, a Forms: the paradigms
+    sorted stably by (lemma, code), each as one block of 109 rows in CELLS
+    order.  Each paradigm is written as it is formatted, so that no string
+    holds the whole file.  The script column is derived from the surfaces
+    (translit.to_scripts).  If writing raises (a surface outside the
+    alphabet raises MalformedInternal), the partial file is removed
+    (_remove_partial) and the error re-raised."""
     with open(path, "w", encoding="utf-8") as fh:
         try:
             fh.write(HEADER + "\n")
-            for _key, group in groupby(sorted(forms.paradigms, key=by_entry), by_entry):
-                # The row pieces of each paradigm, cell by cell; zip(*rows)
-                # interleaves the paradigms of the group within each cell.
-                rows = [zip(to_scripts(p.surfaces), repeat("\t"), p.surfaces,
-                            repeat("\t%s\t%s\t%s" % (p.lemma, p.root, p.code)), _CELL_TAILS)
-                        for p in group]
-                fh.write("".join(map("".join, chain.from_iterable(zip(*rows)))))
+            for p in sorted(forms.paradigms, key=attrgetter("lemma", "code")):
+                fh.write("".join(map("".join, zip(to_scripts(p.surfaces), repeat("\t"), p.surfaces,
+                                                  repeat("\t%s\t%s\t%s" % (p.lemma, p.root, p.code)),
+                                                  _CELL_TAILS))))
         except BaseException:
             _remove_partial(fh, path)
             raise
@@ -357,63 +351,49 @@ def _remove_partial(fh, path):
         pass
 
 
-# Each cell's position in CELLS, by the last three columns of its row with
-# the line end: the tail that ``raw.split("\t", 5)`` leaves of a whole row.
-_CELL_INDEX = {tail[1:]: i for i, tail in enumerate(_CELL_TAILS)}
-
-
 def read_lexicon(path):
     """Read an inflected lexicon TSV back into a Forms; raises on a malformed
-    row, naming its line.  In a run of rows of one (lemma, code), a row of
-    cell 0 opens a paradigm, and a row of cell i joins the first open one of
-    its root that holds cells 0..i-1, so interleaved paradigms read back.
-    The code of each run of rows must resolve.  The file streams row
-    by row; a row splits once, into five columns and its cell's tail in
-    ``_CELL_INDEX``.  Only a line that misses it (the header, a comment, a
-    blank line, a last row with no line end, a malformed row) is split in
+    row, naming its line.  Each paradigm is a block of rows: a row of cell
+    0 opens it, and the rows of cells 1..108 of its lemma, root and code
+    follow in CELLS order.  The code of each block must resolve.  The file
+    streams row by row; a row splits once, into the script, the surface
+    and the rest, which must equal the rest of the open block's next row.
+    Only a line that does not (the header, a comment, a blank line, a row
+    of cell 0, a last row with no line end, a malformed row) is split in
     full and checked.  The script column is not read: it is derived.  A
     file that is not UTF-8 raises, naming the file and the byte."""
-    paradigms = []  # [lemma, root, code, surfaces, last line] of each, as opened
-    run_lemma = run_code = None  # the (lemma, code) of the current run of rows
-    opened = {}  # root -> the paradigms of the current run
+    paradigms = []  # [lemma, root, code, surfaces, last line] of each block, as opened
+    p = due = None  # the open block, and the rest of its next row after the surface
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
-                fields = raw.split("\t", 5)
-                i = _CELL_INDEX.get(fields[-1])
-                if i is None or raw[0] == "#":
+                fields = raw.split("\t", 2)
+                if fields[-1] != due or raw[0] == "#":
                     line = raw.rstrip("\n")
                     if not line or line[0] == "#":
                         continue
                     fields = line.split("\t")
                     if len(fields) != 8:
                         raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
+                    _script, _surface, lemma, root, code = fields[:5]
                     try:
-                        Cell(*fields[5:])  # raises for an illegal cell
-                    except ArabverbError as exc:
-                        raise ArabverbError("line %d: %s" % (lineno, exc))
-                    fields = (line + "\n").split("\t", 5)
-                    i = _CELL_INDEX[fields[5]]
-                _script, surface, lemma, root, code, _tail = fields
-                if lemma != run_lemma or code != run_code:
-                    try:
+                        cell = Cell(*fields[5:])  # raises for an illegal cell
                         resolve_class(code)
                     except ArabverbError as exc:
                         raise ArabverbError("line %d: %s" % (lineno, exc))
-                    run_lemma, run_code, opened = lemma, code, {}
-                if i == 0:
-                    p = [lemma, root, code, [], lineno]
-                    paradigms.append(p)
-                    opened.setdefault(root, []).append(p)
-                else:
-                    for p in opened.get(root, ()):
-                        if len(p[3]) == i:
-                            p[4] = lineno
-                            break
-                    else:
-                        raise ArabverbError("line %d: no open paradigm of %s %s %s is due cell %s"
-                                            % (lineno, lemma, root, code, CELLS[i]))
-                p[3].append(surface)
+                    fields = (line + "\n").split("\t", 2)
+                    if fields[2] != due:
+                        if cell != CELLS[0]:
+                            raise ArabverbError("line %d: no open paradigm of %s %s %s is due cell %s"
+                                                % (lineno, lemma, root, code, cell))
+                        surfaces = []
+                        p = [lemma, root, code, surfaces, lineno]
+                        paradigms.append(p)
+                        head = "%s\t%s\t%s" % (lemma, root, code)
+                        dues = [head + tail for tail in _CELL_TAILS] + [None]
+                surfaces.append(fields[1])
+                p[4] = lineno
+                due = dues[len(surfaces)]
     except UnicodeDecodeError as exc:
         raise ArabverbError("%s is not UTF-8: byte 0x%02x (%s)"
                             % (path, exc.object[exc.start], exc.reason)) from None

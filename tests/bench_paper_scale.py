@@ -7,7 +7,10 @@ mixed-class workload draws its synthetic entries (the bundled sample and
 gold entries, then seeded roots, seed string ``paper/0/entries``), with the
 helpers of ``perfbench/workloads.py``.  Each layer runs in a child
 process, after the layers it needs, and reports its own wall time and the
-peak RSS (``VmHWM``) of the run up to its end:
+peak RSS (``VmHWM``) of the run up to its end.  The write_lexicon and
+read_lexicon children run REPEATS times each, and their layers record the
+median and the range (``wall_s_range``, ``peak_rss_mb_range``) of those
+runs:
 
   generate_all   load the lemma TSV, generate_all serial
   write_lexicon  the same, then write the inflected TSV
@@ -79,6 +82,8 @@ KINDS = ("exact", "partial", "bare", "script", "script-partial", "script-bare")
 QUERIES_PER_KIND = 5000
 # One child each; the queries layer runs in the FormIndex child.
 LAYERS = ("generate_all", "write_lexicon", "read_lexicon", "FormIndex")
+# The children of these layers run this often; one run is too noisy there.
+REPEATS = {"write_lexicon": 3, "read_lexicon": 3}
 CLI_SEED = "paper/0/cli"
 CLI_FORMS = 4
 
@@ -301,6 +306,17 @@ def child(layer, src, lemmas, tsv):
     return json.loads(done.stdout)
 
 
+def repeated(runs):
+    """The figures of a layer that ran once per item of ``runs``: those of
+    its last run, with the median and the range of the wall time and the
+    peak RSS over all of them."""
+    out = dict(runs[-1], runs=len(runs))
+    for key in ("wall_s", "peak_rss_mb"):
+        values = [run[key] for run in runs]
+        out[key], out[key + "_range"] = statistics.median(values), [min(values), max(values)]
+    return out
+
+
 def commit_of(src):
     try:
         done = subprocess.run(["git", "-C", src, "rev-parse", "HEAD"], capture_output=True, text=True)
@@ -342,7 +358,10 @@ def main():
             fh.write(text)
         layers = {}
         for layer in LAYERS:
-            layers[layer] = child(layer, src, lemmas, tsv)
+            if layer in REPEATS:
+                layers[layer] = repeated([child(layer, src, lemmas, tsv) for _ in range(REPEATS[layer])])
+            else:
+                layers[layer] = child(layer, src, lemmas, tsv)
             print(layer, json.dumps(layers[layer]), flush=True)
         layers["queries"] = layers["FormIndex"].pop("queries")
         cli = [cold_cli(src, lemmas, command, expected)
@@ -366,7 +385,8 @@ def main():
             "tsv_bytes": os.path.getsize(tsv),
             "tsv_sha256": sha256_of(tsv),
             "read_forms": layers["read_lexicon"]["forms"],
-            "layers": {layer: {"wall_s": r["wall_s"], "peak_rss_mb": r["peak_rss_mb"]}
+            "layers": {layer: {key: r[key] for key in ("wall_s", "peak_rss_mb", "runs", "wall_s_range",
+                                                         "peak_rss_mb_range") if key in r}
                        for layer, r in layers.items()},
             "queries": layers["queries"]["latency"],
             "queries_missed": layers["queries"]["missed"],

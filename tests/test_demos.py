@@ -7,6 +7,9 @@ import pytest
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
+# A line that a demo must print: the sample and gold lexicons share two
+# (lemma, code) entries, so their union holds 88.
+PRINTS = {"build_inflected_lexicon.py": "lemmas:          88\n"}
 
 
 def test_demos_found():
@@ -21,3 +24,4 @@ def test_demo_runs(tmp_path, name):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert PRINTS.get(name, "") in done.stdout

@@ -181,12 +181,25 @@ def _row_order(form):
 
 def _write_per_form(forms, path):
     """The TSV of ``forms`` written one form at a time, after a stable sort
-    of the forms: the reference for write_lexicon."""
+    of the forms: the reference for write_lexicon on records whose (lemma,
+    code) keys are unique."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(pipeline.HEADER + "\n")
         for f in sorted(forms, key=_row_order):
             fh.write("\t".join([f.surface_arabic, f.surface, f.lemma, f.root, f.code,
                                 f.cell.tag, f.cell.paradigm, f.cell.voice]) + "\n")
+
+
+def _write_per_record(forms, path):
+    """The TSV of ``forms`` written one record at a time, after a stable sort
+    of the records by (lemma, code), each record's rows in CELLS order: the
+    reference for write_lexicon on any records."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(pipeline.HEADER + "\n")
+        for p in sorted(forms.paradigms, key=lambda p: (p.lemma, p.code)):
+            for surface, cell in zip(p.surfaces, CELLS):
+                fh.write("\t".join([to_script(surface), surface, p.lemma, p.root, p.code,
+                                    cell.tag, cell.paradigm, cell.voice]) + "\n")
 
 
 def test_write_read_round_trip(tmp_path, sample_forms):
@@ -206,18 +219,27 @@ def _duplicate_entries():
             LexiconEntry("kataba", "ktb", code)]
 
 
-@pytest.mark.parametrize("case", ["sample+gold", "gold reversed+sample", "duplicates"])
-def test_write_equals_a_stable_per_form_sort(tmp_path, sample_forms, gold_forms, case):
+# A lexicon as load_lexicon gives it holds each (lemma, code) once, and its
+# TSV is the one a stable sort of the forms gives.  Records that repeat a
+# (lemma, code) are written as whole blocks, in input order among them.
+@pytest.mark.parametrize("case", ["sample", "gold", "mixed-class",
+                                  "sample+gold", "gold reversed+sample", "duplicates"])
+def test_write_equals_a_stable_per_form_sort(tmp_path, sample_forms, gold_forms, mixed_class_lexicon, case):
     if case == "sample+gold":
         forms = pipeline.Forms(sample_forms.paradigms + gold_forms.paradigms)
     elif case == "gold reversed+sample":
         forms = pipeline.Forms(gold_forms.paradigms[::-1] + sample_forms.paradigms)
-    else:
+    elif case == "duplicates":
         forms, stats = pipeline.generate_all(_duplicate_entries())
         assert not stats.failures and len(forms.paradigms) == 7
-    path, reference = tmp_path / "records.tsv", tmp_path / "per-form.tsv"
+    else:
+        forms = {"sample": sample_forms, "gold": gold_forms, "mixed-class": mixed_class_lexicon[1]}[case]
+    unique = "+" not in case and case != "duplicates"
+    keys = Counter((p.lemma, p.code) for p in forms.paradigms)
+    assert (max(keys.values()) == 1) == unique
+    path, reference = tmp_path / "records.tsv", tmp_path / "reference.tsv"
     pipeline.write_lexicon(forms, path.as_posix())
-    _write_per_form(forms, reference.as_posix())
+    (_write_per_form if unique else _write_per_record)(forms, reference.as_posix())
     assert path.read_bytes() == reference.read_bytes()
 
 
@@ -295,9 +317,9 @@ def test_read_names_the_line_of_a_short_row(tmp_path, sample_forms):
         pipeline.read_lexicon(path.as_posix())
 
 
-# read_lexicon splits a row once and looks its cell up by the row's tail;
-# any line whose tail is not a legal cell's with its line end takes the
-# full split and check.  Each case gives the same forms or message as a
+# read_lexicon splits a row once and compares its rest with that of the
+# open paradigm's next row; any line that differs takes the full split
+# and check.  Each case gives the same forms or message as a
 # reader that splits every line in full.
 
 def _edit_rows(lines, case):
@@ -344,8 +366,8 @@ def test_read_lines_that_are_not_whole_rows(tmp_path, sample_forms, case, error)
         assert str(err.value) == error
 
 
-# read_lexicon groups the rows of each (lemma, code) run back into the
-# paradigms that write_lexicon interleaved cell by cell.
+# read_lexicon reads back each record that write_lexicon wrote, also
+# records that share (lemma, code).
 
 def test_read_returns_the_written_paradigms(tmp_path):
     forms, stats = pipeline.generate_all(_duplicate_entries())
@@ -357,9 +379,29 @@ def test_read_returns_the_written_paradigms(tmp_path):
     assert back == pipeline.Forms(sorted(forms.paradigms, key=lambda p: (p.lemma, p.code)))
 
 
+# Two records of one (lemma, code) interleaved cell by cell, as an earlier
+# write_lexicon wrote them, are not blocks: the row of the first record's
+# second cell is due to no open paradigm, so the file never reads back as
+# other paradigms.  Two roots, or one entry written twice.
+@pytest.mark.parametrize("roots", [("ktb", "qtl"), ("ktb", "ktb")], ids=["two roots", "one entry twice"])
+def test_read_rejects_interleaved_records(tmp_path, roots):
+    code = parse_code("00L0003")
+    forms, stats = pipeline.generate_all([LexiconEntry("kataba", root, code) for root in roots])
+    assert not stats.failures
+    rows = [["\t".join([to_script(s), s, p.lemma, p.root, p.code, c.tag, c.paradigm, c.voice]) + "\n"
+             for s, c in zip(p.surfaces, CELLS)] for p in forms.paradigms]
+    path = tmp_path / "interleaved.tsv"
+    path.write_text(pipeline.HEADER + "\n" + "".join(itertools.chain.from_iterable(zip(*rows))), encoding="utf-8")
+    line = 5 if roots[0] == roots[1] else 4
+    with pytest.raises(ArabverbError) as err:
+        pipeline.read_lexicon(path.as_posix())
+    assert str(err.value) == "line %d: no open paradigm of kataba %s 00L0003 is due cell %s" % (
+        line, roots[0], CELLS[1])
+
+
 def test_read_concatenated_outputs(tmp_path):
-    # The second output starts inside the last (lemma, code) run of the
-    # first, whose paradigms are all whole by then.
+    # The second output starts with the last record of the first: a second
+    # block of its lemma, root and code, right after the first one.
     forms, _stats = pipeline.generate_all(_duplicate_entries())
     ordered = sorted(forms.paradigms, key=lambda p: (p.lemma, p.code))
     one, two, path = tmp_path / "one.tsv", tmp_path / "two.tsv", tmp_path / "both.tsv"
@@ -379,8 +421,9 @@ def test_read_names_the_line_of_a_dropped_row(tmp_path, sample_forms):
         pipeline.read_lexicon(path.as_posix())
 
 
-# The code column is checked once per (lemma, code) run of rows: the code
-# must parse, and the codebook must hold its class.
+# The code column is checked on a paradigm's first row, and on any row
+# whose lemma or code is not its paradigm's: the code must parse, and the
+# codebook must hold its class.
 @pytest.mark.parametrize("rows", ["every row", "one row"])
 def test_read_names_the_line_of_a_bad_code(tmp_path, sample_forms, rows):
     path = tmp_path / "bad.tsv"
