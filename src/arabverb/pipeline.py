@@ -375,7 +375,7 @@ def read_lexicon(path):
                     fields = line.split("\t")
                     if len(fields) != 8:
                         raise ArabverbError("line %d: expected 8 columns, got %d" % (lineno, len(fields)))
-                    _script, _surface, lemma, root, code = fields[:5]
+                    lemma, root, code = fields[2:5]
                     try:
                         cell = Cell(*fields[5:])  # raises for an illegal cell
                         resolve_class(code)
