@@ -11,7 +11,7 @@ from operator import itemgetter
 
 from . import pipeline, rules
 from .alphabet import ALPHABET, SHADDA, SUKUN, VOWELS
-from .errors import LemmaNotFound
+from .errors import BadLexicon, LemmaNotFound
 from .inflect import CELLS
 from .lexicon import resolve_class
 from .translit import to_internal
@@ -67,47 +67,37 @@ _TAGS, _PARADIGMS, _VOICES = zip(*((cell.tag, cell.paradigm, cell.voice) for cel
 class FormIndex:
     """Diacritic-stripped, lemma and root lookup over the paradigms of a Forms.
 
-    ``by_lemma`` maps a lemma and a code to the surfaces tuple of each
-    record, or an ``(i, surface)`` pair for each cell a partial duplicate
-    adds.  Built one record at a time: its surfaces (none holds a line
-    break) are stripped in one call, and its analyses built from columns.
-    Identical duplicate forms collapse: a record that repeats an earlier
-    one of its (lemma, root, code) adds nothing, and one whose surfaces
-    differ adds only the cells whose surface no earlier one has there."""
+    Holds one record per (lemma, code), the key of a lemma lexicon
+    (``lexicon.load_lexicon``): a record that repeats a pair is a
+    BadLexicon.  ``by_lemma`` maps a lemma and a code to that record's
+    surfaces tuple.  Built one record at a time: its surfaces (none holds a
+    line break) are stripped in one call, and its analyses built from
+    columns."""
 
     def __init__(self, forms):
         self.by_skeleton = by_skeleton = {}
         self.by_lemma = by_lemma = {}
         self.by_root = by_root = {}
         size = 0
-        indexed = {}  # (lemma, root, code) -> the surfaces of its records indexed so far
         for lemma, root, code, surfaces in forms.paradigms:
+            tables = by_lemma.setdefault(lemma, {})
+            if code in tables:
+                raise BadLexicon("duplicate (lemma, code) pair: lemma %s, root %s, code %s"
+                                 % (lemma, root, code))
+            tables[code] = surfaces
             label = resolve_class(code).label
             by_root.setdefault(root, {})[(lemma, code)] = label
-            earlier = indexed.setdefault((lemma, root, code), [])
-            if not earlier:
-                earlier.append(surfaces)
-                by_lemma.setdefault(lemma, {}).setdefault(code, []).append(surfaces)
-                skeletons = skeleton("\n".join(surfaces)).split("\n")
-                analyses = map(tuple.__new__, repeat(Analysis),
-                               zip(repeat(lemma), repeat(root), repeat(code), repeat(label),
-                                   surfaces, _TAGS, _PARADIGMS, _VOICES))
-                for skel, analysis in zip(skeletons, analyses):
-                    found = by_skeleton.get(skel)
-                    if found is None:
-                        by_skeleton[skel] = [analysis]
-                    else:
-                        found.append(analysis)
-                size += len(surfaces)
-            elif surfaces not in earlier:
-                fresh = [(i, surface) for i, surface in enumerate(surfaces)
-                         if all(e[i] != surface for e in earlier)]
-                earlier.append(surfaces)
-                by_lemma[lemma][code].extend(fresh)
-                for i, surface in fresh:
-                    analysis = Analysis(lemma, root, code, label, surface, _TAGS[i], _PARADIGMS[i], _VOICES[i])
-                    by_skeleton.setdefault(skeleton(surface), []).append(analysis)
-                size += len(fresh)
+            skeletons = skeleton("\n".join(surfaces)).split("\n")
+            analyses = map(tuple.__new__, repeat(Analysis),
+                           zip(repeat(lemma), repeat(root), repeat(code), repeat(label),
+                               surfaces, _TAGS, _PARADIGMS, _VOICES))
+            for skel, analysis in zip(skeletons, analyses):
+                found = by_skeleton.get(skel)
+                if found is None:
+                    by_skeleton[skel] = [analysis]
+                else:
+                    found.append(analysis)
+            size += len(surfaces)
         self.size = size
 
     def __len__(self):
@@ -140,7 +130,8 @@ def entries_answering(entries, field, text):
 
 def analyze(index, form):
     """All analyses consistent with the (possibly partial) diacritics,
-    sorted by ``Analysis.sort_key``.  The candidates share the query's
+    sorted by ``Analysis.sort_key``, which no two analyses of an index
+    share (each (lemma, code) is one record).  The candidates share the query's
     skeleton, so a query with no diacritics matches every one of them;
     otherwise each distinct candidate surface is tested once."""
     query = _to_query(form)
@@ -161,24 +152,12 @@ def analyze(index, form):
 
 
 def inflect_verb(index, lemma):
-    """The 109-form table(s) of a lemma; one table per code."""
+    """The 109-form table of a lemma, (cell, surface) in CELLS order, per code."""
     query = _to_query(lemma)
     tables = index.by_lemma.get(query)
     if not tables:
         raise LemmaNotFound("lemma %s is not in the lexicon" % lemma)
-    out = {}
-    for code, entries in sorted(tables.items()):
-        if len(entries) == 1:  # the surfaces of one record, in CELLS order
-            out[code] = list(zip(CELLS, entries[0]))
-            continue
-        rows = []
-        for entry in entries:
-            if len(entry) == 2:  # an (i, surface) pair of a partial duplicate
-                rows.append(entry)
-            else:
-                rows.extend(enumerate(entry))
-        out[code] = [(CELLS[i], surface) for i, surface in sorted(rows)]
-    return out
+    return {code: list(zip(CELLS, surfaces)) for code, surfaces in sorted(tables.items())}
 
 
 def derive_root(index, root):

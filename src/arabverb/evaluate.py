@@ -35,9 +35,10 @@ class EvalReport:
 
 def _rows(path):
     """(lineno, fields) of each line of ``path`` that is neither blank nor a
-    comment; a file that is not UTF-8 is a BadLexicon."""
+    comment, a leading byte-order mark skipped; a file that is not UTF-8
+    is a BadLexicon."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.rstrip("\n")
                 if line and not line.startswith("#"):

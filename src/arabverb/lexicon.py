@@ -173,11 +173,12 @@ def load_lexicon(path):
     valid entry remains, with NoEntries carrying the reasons per line.
     A line that is not UTF-8 is a bad line: each byte that does not
     decode is read as a lone surrogate (U+DC80-U+DCFF), which no UTF-8
-    text holds and which str.encode rejects.
+    text holds and which str.encode rejects.  A leading byte-order mark
+    is skipped.
     """
     report = LoadReport()
     seen = set()
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             try:

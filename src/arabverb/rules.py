@@ -206,11 +206,12 @@ class RuleSet:
 
 def load_rules(path=None):
     """Load a rule TSV: id, stage, pattern, replacement, left, right, comment.
-    A file that holds no rule is a BadRuleFile."""
+    A leading byte-order mark is skipped; a file that holds no rule is a
+    BadRuleFile."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "surface_rules.tsv")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise BadRuleFile("rule file %s is not UTF-8: byte 0x%02x (%s)"

@@ -42,17 +42,18 @@ repository root) with each layer's time and RSS, the forms, failures,
 bytes and sha256 of the TSV, the (code, stand-in root) keys of the
 paradigm cache (``stand_in_keys``, counted after generate_all is timed),
 the forms it passes to ``RuleSet.apply_many`` (``cascaded_forms``,
-counted in a second run after its peak RSS is taken), the count, p50 and
-p99 (nearest rank) of the query latencies per kind
-and pooled, each cold CLI query with its figures, the interpreter,
-``nproc`` and the commit.  ``--src`` measures another checkout's ``src``.
-It exits 1 unless there are 1,684,268 forms, no failure and every query
-answered, the cold CLI queries included: the output of each of those must
-hold every row of the entry it was drawn from (the analysis of the
-surface, the 109 rows of the lemma's table, or the lemma and label).  It
-takes about 25 s on a 2-core host and peaks near 0.5 GB (the FormIndex
-child), so pytest does not collect it (the file name does not start with
-``test_``).
+counted in a second run after its peak RSS is taken), the analyses the
+index holds (``index_entries``, ``len`` of the FormIndex), the count, p50
+and p99 (nearest rank) of the query latencies per kind and pooled, each
+cold CLI query with its figures, the interpreter, ``nproc`` and the
+commit.  ``--src`` measures another checkout's ``src``.  It exits 1
+unless there are 1,684,268 forms, read back and indexed, no failure and
+every query answered, the cold CLI queries included: the output of each
+of those must hold every row of the entry it was drawn from (the
+analysis of the surface, the 109 rows of the lemma's table, or the lemma
+and label).  It takes about 25 s on a 2-core host and peaks near 0.5 GB
+(the FormIndex child), so pytest does not collect it (the file name does
+not start with ``test_``).
 """
 
 import argparse
@@ -385,6 +386,7 @@ def main():
             "tsv_bytes": os.path.getsize(tsv),
             "tsv_sha256": sha256_of(tsv),
             "read_forms": layers["read_lexicon"]["forms"],
+            "index_entries": layers["FormIndex"]["index_entries"],
             "layers": {layer: {key: r[key] for key in ("wall_s", "peak_rss_mb", "runs", "wall_s_range",
                                                          "peak_rss_mb_range") if key in r}
                        for layer, r in layers.items()},
@@ -397,7 +399,7 @@ def main():
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
         fh.write("\n")
-    ok = (result["forms"] == result["read_forms"] == FORMS
+    ok = (result["forms"] == result["read_forms"] == result["index_entries"] == FORMS
           and result["failures"] == result["queries_missed"] == result["cli_missed"] == 0)
     print("%s: %d forms, %d failures, %d queries and %d cold CLI queries missed, TSV %s -> %s" % (
         "ok" if ok else "FAILED", result["forms"], result["failures"], result["queries_missed"],

@@ -1,5 +1,6 @@
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,14 +8,14 @@ from arabverb import pipeline
 from arabverb.alphabet import ALPHABET
 from arabverb.analyzer import (DIACRITICS, Analysis, FormIndex, analyze, derive_root, inflect_verb,
                                matches_partial, skeleton)
-from arabverb.errors import LemmaNotFound, UnknownCharacter
+from arabverb.errors import BadLexicon, LemmaNotFound, UnknownCharacter
 from arabverb.evaluate import forms_to_normalized
 from arabverb.inflect import CELLS
 from arabverb.lexicon import load_lexicon, parse_code, resolve_class
 from arabverb.pipeline import Forms, Paradigm, read_lexicon, write_lexicon
 from arabverb.translit import SCRIPT, to_script
 from conftest import GOLD_LEXICON
-from test_pipeline import _duplicate_entries
+from test_pipeline import _concatenated_outputs, _duplicate_entries
 from test_translit import reference_to_internal
 
 
@@ -194,7 +195,8 @@ def test_read_and_index_build_no_inflected_form(tmp_path, monkeypatch, sample_fo
 # FormIndex builds its maps in one pass over the paradigm records, looking
 # up the label, the lemma table and the root entry once per paradigm.  The
 # reference below is the plain per-form build over the InflectedForm views:
-# every map, its key order and its list order must come out the same.
+# on records that hold each (lemma, code) once, every map, its key order
+# and its list order must come out the same.
 
 CELL_ORDER = {cell: i for i, cell in enumerate(CELLS)}
 
@@ -205,19 +207,14 @@ def reference_skeleton(s):
 class ReferenceIndex:
     def __init__(self, forms):
         self.by_skeleton, self.by_lemma, self.by_root = {}, {}, {}
-        seen = set()
         for f in forms:
             label = resolve_class(parse_code(f.code)).label
             analysis = Analysis(f.lemma, f.root, f.code, label, f.surface,
                                 f.cell.tag, f.cell.paradigm, f.cell.voice)
-            if analysis in seen:
-                continue
-            seen.add(analysis)
             self.by_skeleton.setdefault(reference_skeleton(f.surface), []).append(analysis)
             self.by_lemma.setdefault(f.lemma, {}).setdefault(f.code, []).append(
                 (CELL_ORDER[f.cell], f.cell, f.surface))
             self.by_root.setdefault(f.root, {})[(f.lemma, f.code)] = label
-        self.size = len(seen)
 
 
 def ordered(index):
@@ -234,48 +231,45 @@ def reference_tables(reference, lemma):
             for code, rows in sorted(reference.by_lemma[lemma].items())}
 
 
-def shuffled_with_repeats(forms, seed):
-    rng = random.Random(seed)
-    paradigms = list(forms.paradigms) + rng.sample(forms.paradigms, len(forms.paradigms) // 4)
-    rng.shuffle(paradigms)
-    return Forms(paradigms)
-
-
-def test_index_equals_the_per_row_build(sample_forms, gold_forms):
-    duplicates, stats = pipeline.generate_all(_duplicate_entries())
-    assert not stats.failures
-    first, other = sample_forms.paradigms[:2]
-
-    def changed(record, cells):
-        """``record`` with the surface of each cell i in ``cells`` replaced."""
-        surfaces = list(record.surfaces)
-        for i, surface in cells.items():
-            surfaces[i] = surface
-        return record._replace(surfaces=tuple(surfaces))
-
-    cases = [
-        sample_forms,
-        Forms(gold_forms.paradigms + sample_forms.paradigms),
-        shuffled_with_repeats(sample_forms, 1),
-        shuffled_with_repeats(gold_forms, 2),
-        duplicates,
-        # 108 of the copy's analyses repeat the first paradigm's and collapse
-        Forms([first, changed(first, {40: "x"})]),
-        # a whole repeat after another record adds nothing
-        Forms([first, other, first]),
-        # after a partial duplicate, a whole repeat of either adds nothing
-        Forms([first, changed(first, {40: "x"}), first]),
-        Forms([first, changed(first, {40: "x"}), changed(first, {40: "x"})]),
-        # a third record is checked against the cells of both earlier ones
-        Forms([first, changed(first, {40: "x"}), changed(first, {40: "x", 0: "y", 108: "z"}),
-               changed(first, {0: "y", 1: "w"})]),
-    ]
-    for forms in cases:
+def test_index_equals_the_per_row_build(sample_forms, gold_forms, mixed_class_lexicon):
+    for forms in (sample_forms, gold_forms, mixed_class_lexicon[1]):
         index, reference = FormIndex(forms), ReferenceIndex(forms)
         assert ordered(index) == ordered(reference)
-        assert len(index) == reference.size
+        assert len(index) == len(forms)
         for lemma in reference.by_lemma:
             assert inflect_verb(index, lemma) == reference_tables(reference, lemma)
+
+
+def first_repeat(records):
+    """The first record whose (lemma, code) an earlier one has."""
+    seen = set()
+    for record in records:
+        if (record.lemma, record.code) in seen:
+            return record
+        seen.add((record.lemma, record.code))
+
+
+# The index holds one record per (lemma, code), as load_lexicon keeps one
+# entry per pair; records that repeat a pair, which generate_all and
+# read_lexicon still pass on, are refused in load_lexicon's words.
+@pytest.mark.parametrize("case", ["sample+gold", "duplicates", "concatenated outputs"])
+def test_index_rejects_a_repeated_key(tmp_path, sample_forms, gold_forms, case):
+    if case == "sample+gold":
+        forms = Forms(sample_forms.paradigms + gold_forms.paradigms)
+        keys = Counter((p.lemma, p.code) for p in forms.paradigms)
+        assert sorted(keys.values())[-3:] == [1, 2, 2]
+    elif case == "duplicates":
+        forms, stats = pipeline.generate_all(_duplicate_entries())
+        assert not stats.failures
+    else:
+        path, records = _concatenated_outputs(tmp_path)
+        forms = read_lexicon(path.as_posix())
+        assert forms == Forms(records)
+    repeat = first_repeat(forms.paradigms)
+    with pytest.raises(BadLexicon) as err:
+        FormIndex(forms)
+    assert str(err.value) == "duplicate (lemma, code) pair: lemma %s, root %s, code %s" % (
+        repeat.lemma, repeat.root, repeat.code)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -346,44 +340,56 @@ def queries_of(surfaces, seed):
     return out
 
 
-@pytest.mark.parametrize("which", ["sample", "gold"])
-def test_analyze_equals_the_filter_and_sort_reference(which, sample_index, gold_index, sample_forms, gold_forms):
-    index, forms = (sample_index, sample_forms) if which == "sample" else (gold_index, gold_forms)
+def strictly_increasing(hits):
+    return all(a.sort_key() < b.sort_key() for a, b in zip(hits, hits[1:]))
+
+
+@pytest.mark.parametrize("which", ["sample", "gold", "mixed-class"])
+def test_analyze_equals_the_filter_and_sort_reference(which, sample_index, gold_index, sample_forms, gold_forms,
+                                                      mixed_class_lexicon):
+    if which == "mixed-class":
+        forms = mixed_class_lexicon[1]
+        index = FormIndex(forms)
+    else:
+        index, forms = (sample_index, sample_forms) if which == "sample" else (gold_index, gold_forms)
     surfaces = sorted({f.surface for f in forms})
     queries = queries_of(surfaces, seed=len(surfaces))
     misses = sum(1 for q in queries if not reference_analyze(index, q))
     for query in queries:
-        assert analyze(index, query) == reference_analyze(index, query), query
+        hits = analyze(index, query)
+        assert hits == reference_analyze(index, query), query
+        # one record per (lemma, code): no two hits share a sort key
+        assert strictly_increasing(hits), query
     assert 0 < misses < len(queries) / 4
 
 
 def homograph_index():
     """Three records whose surfaces all strip to ``ktb``, cycling through a
-    few spellings so that one skeleton holds many analyses per surface.  The
-    first two share lemma and code, so their analyses of one cell have equal
-    sort keys; the third sorts before both."""
+    few spellings so that one skeleton holds many analyses per surface.
+    Each has its own (lemma, code): the first two share the lemma, the
+    first and the third the root and the code."""
     spellings = ("kataba", "kat~aba", "kutiba", "kut~iba", "katab", "kataba")
-    code = "00L0003"
     records = [
-        Paradigm("kataba", "ktb", code, tuple(spellings[i % 6] for i in range(len(CELLS)))),
-        Paradigm("kataba", "kbt", code, tuple(spellings[(i + 1) % 6] for i in range(len(CELLS)))),
-        Paradigm("kat~aba", "ktb", code, tuple(spellings[i % 4] for i in range(len(CELLS)))),
+        Paradigm("kataba", "ktb", "00L0003", tuple(spellings[i % 6] for i in range(len(CELLS)))),
+        Paradigm("kataba", "kbt", "00L0002", tuple(spellings[(i + 1) % 6] for i in range(len(CELLS)))),
+        Paradigm("kat~aba", "ktb", "00L0003", tuple(spellings[i % 4] for i in range(len(CELLS)))),
     ]
     return FormIndex(Forms(records))
 
 
-def test_analyze_keeps_index_order_among_equal_keys():
+def test_analyze_orders_homographs_by_a_total_key():
     index = homograph_index()
     assert len(index.by_skeleton) == 1 and len(index.by_skeleton["ktb"]) == 3 * len(CELLS)
     queries = ["ktb", "kataba", "kat~aba", "katab", "kutiba", "kut~iba", "k~b", "kaba", "ktba", "kt",
                to_script("ktb"), to_script("kat~aba"), "katabu"]
     for query in queries:
-        assert analyze(index, query) == reference_analyze(index, query), query
-    for query in ("ktb", "kataba"):
         hits = analyze(index, query)
-        ties = [(a.root, b.root) for a, b in zip(hits, hits[1:]) if a.sort_key() == b.sort_key()]
-        # equal keys: the record indexed first comes first
-        assert len(ties) > 20 and set(ties) == {("ktb", "kbt")}
+        assert hits == reference_analyze(index, query), query
+        assert strictly_increasing(hits), query
+    # every record answers the bare query, each cell once
+    hits = analyze(index, "ktb")
+    assert [(a.lemma, a.code) for a in hits[::len(CELLS)]] == [
+        ("kataba", "00L0002"), ("kataba", "00L0003"), ("kat~aba", "00L0003")]
 
 
 def test_analyze_answers_a_list_of_its_own(sample_index):

@@ -97,6 +97,14 @@ def test_load_normalized_rejects_bad_schema(tmp_path):
         load_normalized(path.as_posix())
 
 
+def test_load_normalized_skips_a_byte_order_mark(tmp_path, sample_forms):
+    rows = forms_to_normalized(sample_forms)[:3]
+    path = tmp_path / "bom.tsv"
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_normalized(path.as_posix()) == rows
+
+
 def test_evaluate_files_reads_exclusions(tmp_path, sample_forms):
     rows = forms_to_normalized(sample_forms)[:50]
     ref = tmp_path / "ref.tsv"

@@ -4,6 +4,7 @@ from arabverb.errors import BadCode, NoEntries, UnknownClass
 from arabverb.lexicon import _LABELS, CODEBOOK, load_lexicon, parse_code, parse_root, resolve_class
 from arabverb.pipeline import generate_all
 from arabverb.stems import merge
+from conftest import SAMPLE_LEXICON
 
 
 def test_parse_legacy_six_character_code():
@@ -172,6 +173,20 @@ def test_same_lemma_different_codes_allowed(tmp_path):
     )
     report = load_lexicon(str(path))
     assert len(report.entries) == 2
+
+
+# A leading byte-order mark (saved as "UTF-8 with BOM") is not part of
+# line 1, whether that line is the comment header or an entry.
+@pytest.mark.parametrize("header", [True, False], ids=["header", "no header"])
+def test_leading_byte_order_mark_is_skipped(tmp_path, sample_entries, header):
+    with open(SAMPLE_LEXICON, encoding="utf-8") as fh:
+        lines = [line for line in fh if header or not line.startswith("#")]
+    assert lines[0].startswith("#") == header
+    path = tmp_path / "bom.tsv"
+    path.write_text("".join(lines), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    report = load_lexicon(path.as_posix())
+    assert report.entries == sample_entries and report.diagnostics == []
 
 
 # generate_all(strict=True) checks that each lemma regenerates from its

@@ -399,16 +399,22 @@ def test_read_rejects_interleaved_records(tmp_path, roots):
         line, roots[0], CELLS[1])
 
 
-def test_read_concatenated_outputs(tmp_path):
-    # The second output starts with the last record of the first: a second
-    # block of its lemma, root and code, right after the first one.
+def _concatenated_outputs(tmp_path):
+    """A file of two outputs, one after the other, and the records it holds.
+    The second output is the last record of the first: a second block of
+    its lemma, root and code, right after the first one."""
     forms, _stats = pipeline.generate_all(_duplicate_entries())
     ordered = sorted(forms.paradigms, key=lambda p: (p.lemma, p.code))
     one, two, path = tmp_path / "one.tsv", tmp_path / "two.tsv", tmp_path / "both.tsv"
     pipeline.write_lexicon(forms, one.as_posix())
     pipeline.write_lexicon(pipeline.Forms(ordered[-1:]), two.as_posix())
     path.write_bytes(one.read_bytes() + two.read_bytes())
-    assert pipeline.read_lexicon(path.as_posix()) == pipeline.Forms(ordered + ordered[-1:])
+    return path, ordered + ordered[-1:]
+
+
+def test_read_concatenated_outputs(tmp_path):
+    path, records = _concatenated_outputs(tmp_path)
+    assert pipeline.read_lexicon(path.as_posix()) == pipeline.Forms(records)
 
 
 def test_read_names_the_line_of_a_dropped_row(tmp_path, sample_forms):

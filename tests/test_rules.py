@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from arabverb.errors import BadRuleFile, StageOrderError
 from arabverb.inflect import CELLS, inflect
 from arabverb.rules import RuleSet, apply_cascade, default_rules, load_rules, make_rule
 from arabverb.stems import build_stems
+from conftest import DATA
 
 
 def _apply_one(rule, form, hits=None):
@@ -94,6 +96,14 @@ def test_bad_rule_line_diagnosed(tmp_path):
     with pytest.raises(BadRuleFile) as err:
         load_rules(str(path))
     assert "line 1" in str(err.value)
+
+
+def test_rule_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "rules.tsv"
+    with open(os.path.join(DATA, "surface_rules.tsv"), encoding="utf-8") as fh:
+        path.write_text(fh.read(), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_rules(path.as_posix()).rules == default_rules().rules
 
 
 @pytest.mark.parametrize("pattern, replacement", [
