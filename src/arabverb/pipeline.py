@@ -97,9 +97,8 @@ def _failed(entry, exc):
 # Paradigm cache.  Stems, chart and cascade read most radicals only as
 # members of a class (C, K, M); a few they compare by identity.  Two roots
 # that differ only in the other radicals, equal ones staying equal, have
-# the same paradigm up to renaming those radicals.  So the entries of one
-# code and stand-in root share one paradigm (_stand_in_paradigms), renamed
-# for each of them (_expand_code).
+# the same paradigm up to renaming those radicals, so the entries of one
+# code and stand-in root share one paradigm, renamed for each (_expand_code).
 
 
 def special_consonants(ruleset):
@@ -183,22 +182,23 @@ def _translate(strings, table):
     return text.split("\n")
 
 
-def _stand_in_paradigms(entries, ruleset, stand, targets):
-    """(keys, paradigms) of ``entries``, all of one code.  keys holds each
-    entry's stand-in root (over ``stand``), or its EntryFailed if its forms
-    do not build; it fills no key, so the next entry of that key is built.
-    paradigms maps each key to the paradigm of its first entry that builds,
-    in canonical letters (its free radicals renamed to ``targets`` in order
-    of first appearance): (the batch position of each cell, the distinct
-    positions, their surfaces, the summed rule hits), or the error that
-    check_internal raised for one of its surfaces.  The code's distinct
-    canonical underlying forms are cascaded in one batch."""
-    keys = []
+def _expand_code(entries, ruleset, stand, targets):
+    """The (paradigm, rule hits) or EntryFailed of each of ``entries``, all
+    of one code, in their order.  The first entry of each stand-in root
+    (over ``stand``) that builds, the next one if it does not, puts its
+    underlying forms in canonical letters (free radicals renamed to
+    ``targets``) in the code's memo, cascaded in one batch.  A key's
+    paradigm is its distinct surfaces, checked with check_internal, and
+    each cell's index among them; an entry renames them by the inverse of
+    its own renaming, or fails with the key's error (renaming free
+    consonants changes neither what check_internal rejects nor its
+    message).  Module-level so that a process pool can send it to workers."""
+    keys = []  # each entry's stand-in root, or its EntryFailed
+    paradigms = {}  # stand-in root -> batch position of each cell's form, then its paradigm
     memo = {}  # canonical underlying form -> its position in the batch
-    pending = {}  # key -> batch position of each cell's form
     for entry in entries:
         key = stand_in_root(entry.root, stand)
-        if key not in pending:
+        if key not in paradigms:
             try:
                 stems = build_stems(entry)
                 underlying = [inflect(stems, cell) for cell in CELLS]
@@ -208,14 +208,13 @@ def _stand_in_paradigms(entries, ruleset, stand, targets):
             renaming = _renaming(entry.root, ruleset.free, targets)
             if renaming is not None:
                 underlying = _translate(underlying, renaming[0])
-            pending[key] = tuple([memo.setdefault(form, len(memo)) for form in underlying])
+            paradigms[key] = [memo.setdefault(form, len(memo)) for form in underlying]
         keys.append(key)
     surfaces, form_hits = ruleset.apply_many(list(memo))
     del memo
-    paradigms = {}
-    for key, positions in pending.items():
-        counts = Counter(positions)  # batch position -> cells, in order of first appearance
-        distinct = [surfaces[p] for p in counts]
+    for key, positions in paradigms.items():
+        distinct = {}  # surface -> its index among the key's distinct surfaces
+        cells = tuple([distinct.setdefault(surfaces[p], len(distinct)) for p in positions])
         try:
             for surface in distinct:
                 check_internal(surface)
@@ -223,22 +222,10 @@ def _stand_in_paradigms(entries, ruleset, stand, targets):
             paradigms[key] = exc
             continue
         hits = {}
-        for p, cells in counts.items():
+        for p in positions:
             for rule_id, n in form_hits[p].items():
-                hits[rule_id] = hits.get(rule_id, 0) + cells * n
-        paradigms[key] = positions, list(counts), distinct, hits
-    return keys, paradigms
-
-
-def _expand_code(entries, ruleset, stand, targets):
-    """The (paradigm, rule hits) or EntryFailed of each of ``entries``, all
-    of one code, in their order: its stand-in root's paradigm renamed by
-    the inverse of its own renaming, or that paradigm's error (renaming
-    free consonants changes neither what check_internal rejects nor its
-    message).  Module-level so that a process pool can send it to workers.
-    """
-    rs = ruleset if ruleset is not None else rules.default_rules()
-    keys, paradigms = _stand_in_paradigms(entries, rs, stand, targets)
+                hits[rule_id] = hits.get(rule_id, 0) + n
+        paradigms[key] = cells, list(distinct), hits
     out = []
     for entry, key in zip(entries, keys):
         if isinstance(key, EntryFailed):
@@ -246,13 +233,12 @@ def _expand_code(entries, ruleset, stand, targets):
         elif isinstance(paradigms[key], ArabverbError):
             out.append(_failed(entry, paradigms[key]))
         else:
-            positions, distinct_positions, distinct, hits = paradigms[key]
-            renaming = _renaming(entry.root, rs.free, targets)
+            cells, distinct, hits = paradigms[key]
+            renaming = _renaming(entry.root, ruleset.free, targets)
             if renaming is not None:
                 distinct = _translate(distinct, renaming[1])
-            surface_of = dict(zip(distinct_positions, distinct))
-            out.append((Paradigm(entry.lemma, entry.root, entry.code,
-                                 tuple(map(surface_of.__getitem__, positions))), hits))
+            out.append((Paradigm(entry.lemma, entry.root, entry.code, tuple(map(distinct.__getitem__, cells))),
+                        hits))
     return out
 
 
@@ -261,35 +247,33 @@ def generate_all(entries, ruleset=None, workers=1, strict=False):
 
     Returns (forms, stats): forms is a Forms over one Paradigm per entry
     that generated, in input order.  The entries of each code are expanded
-    together (see _expand_code): one paradigm per stand-in root (see
-    special_consonants), renamed for each entry.  With workers > 1 the codes are expanded in a process
-    pool, one task each; the output is identical to a serial run.  With
-    strict=True an entry whose 3SM perfective active surface (CELLS[0]) is
-    not its lemma fails as well.
+    in one pass (see _expand_code): one paradigm per stand-in root (see
+    special_consonants), renamed for each entry, its equal surfaces one
+    string.  With workers > 1 the codes are expanded in a process pool, one
+    task each; the output is identical to a serial run.  With strict=True
+    an entry whose 3SM perfective active surface (CELLS[0]) is not its
+    lemma fails as well.
     """
     entries = list(entries)
     rs = ruleset if ruleset is not None else rules.default_rules()
     stand = stand_ins(rs)
     targets = stand + "".join(sorted(rs.free.difference(stand)))
-    codes = {}  # code -> indices of its entries
-    for i, entry in enumerate(entries):
-        codes.setdefault(entry.code, []).append(i)
-    groups = [[entries[i] for i in indices] for indices in codes.values()]
-    expand = functools.partial(_expand_code, ruleset=ruleset, stand=stand, targets=targets)
+    codes = {}  # code -> its entries, in input order
+    for entry in entries:
+        codes.setdefault(entry.code, []).append(entry)
+    expand = functools.partial(_expand_code, ruleset=rs, stand=stand, targets=targets)
     if workers > 1:
         import multiprocessing  # only a pool needs it; every import of arabverb would pay for it
 
         with multiprocessing.Pool(workers) as pool:
-            expanded = pool.map(expand, groups)
+            expanded = pool.map(expand, codes.values())
     else:
-        expanded = map(expand, groups)
-    results = [None] * len(entries)
-    for indices, code_results in zip(codes.values(), expanded):
-        for i, result in zip(indices, code_results):
-            results[i] = result
+        expanded = map(expand, codes.values())
+    results = dict(zip(codes, map(iter, expanded)))  # code -> its entries' results, in order
     stats = GenStats()
     paradigms = []
-    for entry, result in zip(entries, results):
+    for entry in entries:
+        result = next(results[entry.code])
         if isinstance(result, EntryFailed):
             stats.failures.append(result)
             continue

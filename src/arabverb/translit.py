@@ -39,7 +39,6 @@ def load_codec_table():
 _A2I, SCRIPT = load_codec_table()  # SCRIPT: internal symbol -> Arabic letter
 _ARABIC = frozenset(_A2I)
 _TO_INTERNAL = str.maketrans(_A2I)
-_TO_SCRIPT = str.maketrans(SCRIPT)
 # The script of each Latin-1 byte, for charmap_decode: \n and the internal symbols only.
 _SCRIPT_BYTES = "".join(SCRIPT.get(chr(b), "\n" if b == 10 else "\ufffe") for b in range(256))
 # NFC places a short vowel before shadda; internally the mark precedes its
@@ -76,7 +75,7 @@ def check_internal(s):
 def to_script(s):
     """Convert an internal string back to Arabic script."""
     check_internal(s)
-    return s.translate(_TO_SCRIPT)
+    return to_scripts((s,))[0]
 
 
 def to_scripts(surfaces):

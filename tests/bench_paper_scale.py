@@ -45,15 +45,17 @@ the forms it passes to ``RuleSet.apply_many`` (``cascaded_forms``,
 counted in a second run after its peak RSS is taken), the analyses the
 index holds (``index_entries``, ``len`` of the FormIndex), the count, p50
 and p99 (nearest rank) of the query latencies per kind and pooled, each
-cold CLI query with its figures, the interpreter, ``nproc`` and the
-commit.  ``--src`` measures another checkout's ``src``.  It exits 1
-unless there are 1,684,268 forms, read back and indexed, no failure and
-every query answered, the cold CLI queries included: the output of each
-of those must hold every row of the entry it was drawn from (the
-analysis of the surface, the 109 rows of the lemma's table, or the lemma
-and label).  It takes about 25 s on a 2-core host and peaks near 0.5 GB
-(the FormIndex child), so pytest does not collect it (the file name does
-not start with ``test_``).
+cold CLI query with its figures, the interpreter, ``nproc``, the commit,
+and the load average (``os.getloadavg()``) at the start and at the end of
+the run (``loadavg_start``, ``loadavg_end``), so that a run on a loaded
+host can be told from a slow program.  ``--src`` measures another
+checkout's ``src``.  It exits 1 unless there are 1,684,268 forms, read
+back and indexed, no failure and every query answered, the cold CLI
+queries included: the output of each of those must hold every row of
+the entry it was drawn from (the analysis of the surface, the 109 rows
+of the lemma's table, or the lemma and label).  It takes about 25 s on
+a 2-core host and peaks near 0.5 GB (the FormIndex child), so pytest
+does not collect it (the file name does not start with ``test_``).
 """
 
 import argparse
@@ -352,6 +354,7 @@ def main():
         print(json.dumps(run_layer(args.layer, src, args.lemmas, args.tsv)))
         return 0
 
+    loadavg_start = list(os.getloadavg())
     with tempfile.TemporaryDirectory(prefix="arabverb-paper-") as tmp:
         lemmas, tsv = os.path.join(tmp, "lemmas.tsv"), os.path.join(tmp, "inflected.tsv")
         text = workloads.lemma_tsv(paper_rows())
@@ -377,6 +380,8 @@ def main():
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "nproc": os.cpu_count(),
+            "loadavg_start": loadavg_start,
+            "loadavg_end": list(os.getloadavg()),
             "entries": layers["generate_all"]["entries"],
             "lemma_tsv_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "forms": layers["generate_all"]["forms"],

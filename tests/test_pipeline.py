@@ -939,10 +939,10 @@ def test_cache_equals_direct_on_roots_opened_by_d_t_dh_th(monkeypatch, ruleset):
     assert not stats.failures and len(forms) == 109 * len(entries)
 
 
-# The stage builds a key's paradigm in canonical letters, which hold none
-# of the radicals of its roots, so it is the same whichever entry comes
-# first; an entry that fails to build names its own root, also when the
-# next entry of its key fails too.
+# _expand_code builds a key's paradigm in canonical letters, which hold
+# none of the radicals of its roots, so each entry's paradigm is the same
+# whichever entry comes first; an entry that fails to build names its own
+# root, also when the next entry of its key fails too.
 @pytest.mark.parametrize("code", ["00L0003", "10H0000", "01L0000", "04H0000"])  # I, IV, VIII, X
 @pytest.mark.parametrize("shape", ["m{0}{0}", "{0}ss"])
 def test_stand_in_paradigm_is_the_same_whichever_entry_comes_first(ruleset, code, shape):
@@ -955,15 +955,27 @@ def test_stand_in_paradigm_is_the_same_whichever_entry_comes_first(ruleset, code
     entries += [e for e in _drawn_entries([code], "b", "bkq", 7) if len(e.root) != 3]
     built = []
     for order in (entries, entries[::-1]):
-        keys, paradigms = pipeline._stand_in_paradigms(order, ruleset, stand, targets)
-        failed = [(key.root, entry.root) for key, entry in zip(keys, order) if isinstance(key, errors.EntryFailed)]
+        results = pipeline._expand_code(order, ruleset, stand, targets)
+        failed = [(r.root, e.root) for r, e in zip(results, order) if isinstance(r, errors.EntryFailed)]
         assert len(failed) == 3 and all(own == root for own, root in failed)
-        assert len(paradigms) == 1
-        built.append(paradigms)
-    assert built[0] == built[1]
-    positions, _distinct_positions, surfaces, _hits = built[0].popitem()[1]
-    assert len(positions) == 109
-    assert not set("".join(surfaces)) & set("".join(roots))
+        built.append([str(r) if isinstance(r, errors.EntryFailed) else r for r in results])
+    assert built[0] == built[1][::-1]
+    last, last_hits = built[0][len(roots) - 1]
+    for (paradigm, hits), c in zip(built[0][:len(roots)], "dTðþk"):
+        assert len(paradigm.surfaces) == 109 and hits == last_hits
+        assert tuple(s.replace(c, "k") for s in paradigm.surfaces) == last.surfaces
+
+
+# Each key's paradigm holds its distinct surfaces once, as strings, and
+# every entry's paradigm indexes its own renaming of them, so the cells of
+# one surface share one string object.
+@pytest.mark.parametrize("case", ["sample", "gold", "mixed-class"])
+def test_equal_surfaces_of_a_paradigm_are_one_string(case, sample_forms, gold_forms, mixed_class_lexicon):
+    forms = {"sample": sample_forms, "gold": gold_forms, "mixed-class": mixed_class_lexicon[1]}[case]
+    assert forms.paradigms
+    for p in forms.paradigms:
+        first = {}
+        assert all(first.setdefault(s, s) is s for s in p.surfaces), (p.lemma, p.code)
 
 
 def test_viii_assimilation_lists_only_letters_it_changes():
