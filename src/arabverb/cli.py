@@ -20,7 +20,7 @@ def _default_lexicon():
 
 
 def _positive_int(text):
-    """argparse type of --max and --workers: an integer >= 1."""
+    """argparse type of --max: an integer >= 1."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError("expected an integer >= 1, got %r" % text)
     return int(text)
@@ -38,11 +38,11 @@ def _load(path):
     return report.entries
 
 
-def _generate(path, entries, ruleset=None, workers=1, strict=False):
+def _generate(path, entries, ruleset=None, strict=False):
     """(forms, stats) of ``entries``, of the lemma lexicon at ``path``, each
     failed entry printed to stderr; NoEntries if none of them generated.
     No entries is no error: a query that reaches none answers as a miss."""
-    forms, stats = pipeline.generate_all(entries, ruleset, workers, strict)
+    forms, stats = pipeline.generate_all(entries, ruleset, strict=strict)
     for failure in stats.failures:
         print(failure, file=sys.stderr)
     if entries and not stats.lemma_count:
@@ -57,7 +57,7 @@ def _print_diagnostics(path, diagnostics):
 
 def cmd_generate(args):
     ruleset = rules.load_rules(args.rules) if args.rules else None
-    forms, stats = _generate(args.lexicon, _load(args.lexicon), ruleset, args.workers, args.strict)
+    forms, stats = _generate(args.lexicon, _load(args.lexicon), ruleset, args.strict)
     pipeline.write_lexicon(forms, args.out)
     if args.stats:
         pipeline.write_stats(stats, args.stats)
@@ -127,7 +127,6 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--stats")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("inflect", help="print the 109-form paradigm of a lemma")

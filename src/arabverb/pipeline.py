@@ -8,7 +8,6 @@ import functools
 import os
 import stat
 from collections import Counter, namedtuple
-from collections.abc import Sequence
 from itertools import repeat
 from operator import attrgetter
 
@@ -35,10 +34,10 @@ class Paradigm(namedtuple("Paradigm", "lemma root code surfaces")):
     __slots__ = ()
 
 
-class Forms(Sequence):
-    """A read-only sequence of the forms of ``paradigms``: an InflectedForm,
-    its script derived, for each cell of each paradigm, paradigm by paradigm,
-    in CELLS order.  Equal when the paradigms are equal."""
+class Forms:
+    """The forms of ``paradigms``, iterated: an InflectedForm, its script
+    derived, for each cell of each paradigm, paradigm by paradigm, in CELLS
+    order.  Its length counts forms.  Equal when the paradigms are equal."""
 
     __slots__ = ("paradigms",)
 
@@ -47,15 +46,6 @@ class Forms(Sequence):
 
     def __len__(self):
         return FORMS_PER_LEMMA * len(self.paradigms)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        # Floor division keeps a negative index negative, and the list
-        # raises IndexError for an index out of range.
-        q, i = divmod(index, FORMS_PER_LEMMA)
-        p = self.paradigms[q]
-        return InflectedForm(p.surfaces[i], *to_scripts(p.surfaces[i:i + 1]), p.lemma, p.root, p.code, CELLS[i])
 
     def __iter__(self):
         for p in self.paradigms:

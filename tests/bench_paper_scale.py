@@ -55,7 +55,9 @@ queries included: the output of each of those must hold every row of
 the entry it was drawn from (the analysis of the surface, the 109 rows
 of the lemma's table, or the lemma and label).  It takes about 25 s on
 a 2-core host and peaks near 0.5 GB (the FormIndex child), so pytest
-does not collect it (the file name does not start with ``test_``).
+does not collect it (the file name does not start with ``test_``).  A
+missing ``--out`` directory is created before the first child runs, so
+that no run is lost for want of it.
 """
 
 import argparse
@@ -354,6 +356,7 @@ def main():
         print(json.dumps(run_layer(args.layer, src, args.lemmas, args.tsv)))
         return 0
 
+    os.makedirs(args.out, exist_ok=True)
     loadavg_start = list(os.getloadavg())
     with tempfile.TemporaryDirectory(prefix="arabverb-paper-") as tmp:
         lemmas, tsv = os.path.join(tmp, "lemmas.tsv"), os.path.join(tmp, "inflected.tsv")

@@ -28,9 +28,9 @@ def test_generate_and_stats(tmp_path, capsys):
     assert "forms\t2616" in stats.read_text(encoding="utf-8")
 
 
-# With or without --strict, in a pool or not, the entry fails at expansion.
+# With or without --strict, the entry fails at expansion.
 @pytest.mark.parametrize("extra, reported", [(["--strict"], "failed at OpOutOfRange"),
-                                             (["--workers", "2"], "failed at OpOutOfRange")])
+                                             ([], "failed at OpOutOfRange")])
 def test_generate_reports_entry_that_cannot_generate(tmp_path, capsys, extra, reported):
     lexicon = tmp_path / "lex.tsv"
     lexicon.write_text(QI_ON_THREE_RADICALS, encoding="utf-8")
@@ -62,32 +62,26 @@ def _rules_without(tmp_path, rule_id):
     return rules
 
 
-def test_generate_rules_with_workers(tmp_path):
+def test_generate_under_other_rules(tmp_path):
     rules = _rules_without(tmp_path, "o05")
     outputs = {}
-    for name, extra in (("default", []), ("serial", ["--rules", rules.as_posix()]),
-                        ("parallel", ["--rules", rules.as_posix(), "--workers", "2"])):
+    for name, extra in (("default", []), ("other", ["--rules", rules.as_posix()])):
         out = tmp_path / (name + ".tsv")
         assert main(["generate", "--lexicon", SAMPLE_LEXICON, "--out", out.as_posix()] + extra) == 0
         outputs[name] = out.read_bytes()
-    assert outputs["parallel"] == outputs["serial"] != outputs["default"]
+    assert outputs["other"] != outputs["default"]
 
 
 # Without p22 (prosthetic alif) the 11 lemmas that begin with Ai no longer
 # regenerate: --strict checks them under the rules of the run.
 def test_strict_runs_under_the_rules_of_the_run(tmp_path, capsys):
     rules = _rules_without(tmp_path, "p22")
-    outputs = []
-    for workers in ("1", "2"):
-        out = tmp_path / ("out%s.tsv" % workers)
-        rc = main(["generate", "--lexicon", SAMPLE_LEXICON, "--rules", rules.as_posix(),
-                   "--strict", "--workers", workers, "--out", out.as_posix()])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "13 lemmas -> 1417 forms" in captured.out
-        assert len(captured.err.splitlines()) == captured.err.count("does not regenerate") == 11
-        outputs.append((out.read_bytes(), captured.err))
-    assert outputs[0] == outputs[1]
+    rc = main(["generate", "--lexicon", SAMPLE_LEXICON, "--rules", rules.as_posix(),
+               "--strict", "--out", (tmp_path / "out.tsv").as_posix()])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "13 lemmas -> 1417 forms" in captured.out
+    assert len(captured.err.splitlines()) == captured.err.count("does not regenerate") == 11
 
 
 # Two homographs fail: each line names its own root and code.
@@ -359,17 +353,13 @@ def test_analyze_form(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
 
 
-# A count below 1 is a usage error, not a silently shortened list or a serial run.
-@pytest.mark.parametrize("option, value", [("--max", "0"), ("--max", "-1"), ("--workers", "0")])
-def test_count_below_one_is_usage_error(tmp_path, capsys, option, value):
-    commands = {"--max": ["analyze", "--form", "فعل"],
-                "--workers": ["generate", "--lexicon", SAMPLE_LEXICON,
-                              "--out", (tmp_path / "out.tsv").as_posix()]}
+# A count below 1 is a usage error, not a silently shortened list.
+@pytest.mark.parametrize("option, value", [("--max", "0"), ("--max", "-1")])
+def test_count_below_one_is_usage_error(capsys, option, value):
     with pytest.raises(SystemExit) as err:
-        main(commands[option] + [option, value])
+        main(["analyze", "--form", "فعل", option, value])
     assert err.value.code == 2
     assert "expected an integer >= 1, got %r" % value in capsys.readouterr().err
-    assert not (tmp_path / "out.tsv").exists()
 
 
 def test_analyze_unknown_character(capsys):

@@ -28,24 +28,19 @@ def test_exact_count_law(sample_forms, sample_entries):
     assert len(sample_forms) == 109 * len(sample_entries)
 
 
-# generate_all returns a Forms: one Paradigm per entry, read as a sequence
-# of InflectedForm views in input order, then CELLS order.  That iteration
-# equals the reference, entry by entry, is checked with the paradigm cache below.
+# generate_all returns a Forms: one Paradigm per entry, iterated as
+# InflectedForm views in input order, then CELLS order; it is not indexed.
+# That iteration equals the reference, entry by entry, is checked with the
+# paradigm cache below.
 
-def test_forms_index_and_slice_as_a_list(sample_forms):
+def test_forms_iterate_in_input_then_cells_order(sample_forms, sample_entries):
     listed = list(sample_forms)
-    n = len(listed)
-    assert len(sample_forms) == n == 109 * len(sample_forms.paradigms)
-    for i in (0, 1, 108, 109, 110, n - 1, -1, -109, -110, -n):
-        assert sample_forms[i] == listed[i]
-    for cut in (slice(None), slice(5, 300, 3), slice(-5, None), slice(None, None, -7),
-                slice(10, 2), slice(-n - 5, n + 5, 109)):
-        assert sample_forms[cut] == listed[cut]
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            sample_forms[i]
-    assert sample_forms.index(listed[300]) == 300
-    assert list(reversed(sample_forms)) == listed[::-1]
+    assert len(sample_forms) == len(listed) == 109 * len(sample_entries)
+    assert [(f.lemma, f.root, f.code, f.cell) for f in listed] == [
+        (e.lemma, e.root, e.code, cell) for e in sample_entries for cell in CELLS]
+    assert [f.surface for f in listed] == [s for p in sample_forms.paradigms for s in p.surfaces]
+    with pytest.raises(TypeError):
+        sample_forms[0]
 
 
 def test_forms_equal_when_their_paradigms_are(sample_forms):
@@ -515,13 +510,13 @@ def test_strict_fails_only_the_entry_with_the_wrong_lemma(ruleset, workers):
     assert [(f.entry, f.stage, str(f.cause)) for f in stats.failures] == [
         ("kataba", "BadLexicon", "lemma kataba does not regenerate (got façala)")]
     assert forms == pipeline.Forms(loose.paradigms[1:])
-    assert forms[0].surface == "Haraka"
+    assert forms.paradigms[0].surfaces[0] == "Haraka"
 
 
 def test_surface_arabic_matches_surface(sample_forms):
     from arabverb.translit import to_script
 
-    for f in sample_forms[:200]:
+    for f in list(sample_forms)[:200]:
         assert f.surface_arabic == to_script(f.surface)
 
 
@@ -530,16 +525,15 @@ def test_paradigm_keeps_its_surfaces_only():
 
 
 # The script of a form is derived from its surface wherever it is viewed:
-# iterating a Forms, indexing it, and after a TSV round trip.
+# iterating a Forms, generated or after a TSV round trip.
 @pytest.mark.parametrize("source", ["generated", "read back"])
-@pytest.mark.parametrize("access", ["iterated", "indexed"])
-def test_surface_arabic_matches_surface_on_every_path(tmp_path, sample_forms, gold_forms, source, access):
+def test_surface_arabic_matches_surface_on_every_path(tmp_path, sample_forms, gold_forms, source):
     forms = pipeline.Forms(sample_forms.paradigms + gold_forms.paradigms)
     if source == "read back":
         path = tmp_path / "inflected.tsv"
         pipeline.write_lexicon(forms, path.as_posix())
         forms = pipeline.read_lexicon(path.as_posix())
-    viewed = list(forms) if access == "iterated" else [forms[i] for i in range(len(forms))]
+    viewed = list(forms)
     assert len(viewed) == len(forms) > 0
     for f in viewed:
         assert f.surface_arabic == to_script(f.surface)
@@ -577,9 +571,6 @@ def test_a_read_back_surface_outside_the_alphabet_is_malformed(tmp_path, sample_
         pipeline.write_lexicon(forms, (tmp_path / "out.tsv").as_posix())
     with pytest.raises(errors.MalformedInternal, match=message):
         list(forms)
-    with pytest.raises(errors.MalformedInternal, match=message):
-        forms[4]
-    assert forms[3].surface_arabic == to_script(forms[3].surface)
 
 
 def _with_a_bad_sixth_record(forms):
@@ -668,6 +659,12 @@ def test_pattern_labels_cover_both_templates(sample_entries):
     assert len(labels) == 24
 
 
+def _form_cases(forms, entries):
+    """The eighth form of ``forms``, a copy of it, and the other forms."""
+    listed = list(forms)
+    return listed[7], [pipeline.InflectedForm(*listed[7])], listed[:7] + listed[8:]
+
+
 def _rule_cases(forms, entries):
     """A rule of a RuleSet that is not the default one; the same rule made
     anew, with a regex that is equal but not the same object; and the
@@ -685,8 +682,7 @@ def _rule_cases(forms, entries):
 # ones that must not, and a field that no assignment may change.  Cell is
 # not a tuple, so that "%s" % cell formats the cell, and no tuple equals it.
 RECORDS = {
-    "InflectedForm": lambda forms, entries: (
-        forms[7], [pipeline.InflectedForm(*forms[7])], forms[:7] + forms[8:]),
+    "InflectedForm": _form_cases,
     "Cell": lambda forms, entries: (CELLS[0], [Cell("3SM", "PERF", "ACT")],
                                     [*CELLS[1:], ("3SM", "PERF", "ACT")]),
     "LexiconEntry": lambda forms, entries: (entries[0], [LexiconEntry(*entries[0])], entries[1:]),

@@ -105,7 +105,7 @@ def test_to_script_agrees_with_well_formed():
 
 
 def test_to_scripts_maps_each_surface(sample_forms):
-    surfaces = [f.surface for f in sample_forms[:500]] + [""]
+    surfaces = [s for p in sample_forms.paradigms for s in p.surfaces][:500] + [""]
     assert to_scripts(surfaces) == [to_script(s) for s in surfaces]
 
 
